@@ -36,17 +36,21 @@ Llc::bankOfBlock(BlockAddr block) const
     return static_cast<std::uint32_t>(block & bankMask_);
 }
 
-LlcProbe
-Llc::probe(BlockAddr block)
+namespace
 {
-    ++stats_.lookups;
+
+/** The lines of @p bank's set @p set that hold @p tag. Forced inline so
+ *  that probe(), on every uncore access, stays a single call. */
+[[gnu::always_inline]] inline LlcProbe
+locate(const CacheArray<LlcLine> &bank, std::size_t set, std::uint64_t tag)
+{
     LlcProbe p;
-    auto &bank = banks_[bankOfBlock(block)];
-    p.set = setOfBlock(block);
-    const std::uint64_t tag = tagOfBlock(block);
-    for (std::uint64_t m = bank.matchMask(p.set, tag); m != 0; m &= m - 1) {
+    p.set = set;
+    for (std::uint64_t m = bank.matchMask(set, tag); m != 0; m &= m - 1) {
         const auto w = static_cast<std::uint32_t>(std::countr_zero(m));
-        LlcLine &l = bank.line(p.set, w);
+        // LlcProbe hands out mutable lines for probe()'s callers; peek()
+        // callers only read through them.
+        LlcLine &l = const_cast<LlcLine &>(bank.line(set, w));
         if (l.kind == LlcLineKind::SpilledDe) {
             p.spilled = &l;
             p.spilledWay = w;
@@ -56,6 +60,23 @@ Llc::probe(BlockAddr block)
         }
     }
     return p;
+}
+
+} // namespace
+
+LlcProbe
+Llc::probe(BlockAddr block)
+{
+    ++stats_.lookups;
+    return locate(banks_[bankOfBlock(block)], setOfBlock(block),
+                  tagOfBlock(block));
+}
+
+LlcProbe
+Llc::peek(BlockAddr block) const
+{
+    return locate(banks_[bankOfBlock(block)], setOfBlock(block),
+                  tagOfBlock(block));
 }
 
 void

@@ -96,8 +96,16 @@ class Llc
   public:
     explicit Llc(const SystemConfig &cfg);
 
-    /** Locate @p block's lines in its home bank. */
+    /** Locate @p block's lines in its home bank (a counted tag lookup). */
     LlcProbe probe(BlockAddr block);
+
+    /** probe() without counting a lookup, for observers such as the
+     *  invariant sweeps that must leave the statistics alone. Do not
+     *  modify lines through the result. */
+    LlcProbe peek(BlockAddr block) const;
+
+    /** Count a tag lookup whose lines were located through peek(). */
+    void noteLookup() { ++stats_.lookups; }
 
     /** Home bank of @p block. */
     std::uint32_t bankOfBlock(BlockAddr block) const;

@@ -7,6 +7,8 @@
 #define ZERODEV_COMMON_BITOPS_HH
 
 #include <bit>
+#include <bitset>
+#include <cstddef>
 #include <cstdint>
 
 namespace zerodev
@@ -55,6 +57,36 @@ insertBits(std::uint64_t v, std::uint32_t lo, std::uint32_t len,
     const std::uint64_t mask =
         (len >= 64 ? ~0ull : ((1ull << len) - 1)) << lo;
     return (v & ~mask) | ((field << lo) & mask);
+}
+
+/** Call fn(i) for every set bit i of @p b, in ascending order, 64 bits
+ *  at a time. The walk is over a copy, so fn may change @p b; it stops
+ *  after the highest set bit. */
+template <std::size_t N, typename Fn>
+inline void
+forEachSetBit(const std::bitset<N> &b, Fn &&fn)
+{
+    const std::bitset<N> low_word(~0ull);
+    std::bitset<N> rest = b;
+    for (std::uint32_t base = 0; rest.any(); base += 64, rest >>= 64) {
+        for (std::uint64_t m = (rest & low_word).to_ullong(); m != 0;
+             m &= m - 1)
+            fn(base + static_cast<std::uint32_t>(std::countr_zero(m)));
+    }
+}
+
+/** Lowest set bit of @p b, or N when none is set. */
+template <std::size_t N>
+inline std::uint32_t
+firstSetBit(const std::bitset<N> &b)
+{
+    const std::bitset<N> low_word(~0ull);
+    std::bitset<N> rest = b;
+    for (std::uint32_t base = 0; rest.any(); base += 64, rest >>= 64) {
+        if (const std::uint64_t m = (rest & low_word).to_ullong())
+            return base + static_cast<std::uint32_t>(std::countr_zero(m));
+    }
+    return static_cast<std::uint32_t>(N);
 }
 
 /**

@@ -157,16 +157,16 @@ CmpSystem::handleUpgrade(Socket &s, CoreId c, BlockAddr block, Cycle now)
     // Invalidate the other sharers; the dataless response carries the
     // expected acknowledgment count.
     Cycle inv_done = base;
-    for (CoreId x = 0; x < cfg_.coresPerSocket; ++x) {
-        if (x == c || !entry.isSharer(x))
-            continue;
+    forEachSetBit(entry.sharers, [&](CoreId x) {
+        if (x == c)
+            return;
         s.cores[x].invalidate(block, false);
         send(s, MsgType::Inv, block);
         send(s, MsgType::InvAck, block);
         inv_done = std::max(inv_done,
                             base + meshBankToCore(s, block, x) +
                                 meshCoreToCore(s, x, c));
-    }
+    });
     send(s, MsgType::AckResp, block);
     const Cycle back = meshBankToCore(s, block, c);
     ZDEV_LAT(lat_, obs::LatComp::Mesh, back);
@@ -292,16 +292,14 @@ CmpSystem::serveTracked(Socket &s, CoreId c, AccessType type,
             data_ready = base + fwd + s.cores[x].l2Cycles() + resp;
         }
         Cycle inv_done = base;
-        for (CoreId x = 0; x < cfg_.coresPerSocket; ++x) {
-            if (!entry.isSharer(x))
-                continue;
+        forEachSetBit(entry.sharers, [&](CoreId x) {
             s.cores[x].invalidate(block, false);
             send(s, MsgType::Inv, block);
             send(s, MsgType::InvAck, block);
             inv_done = std::max(inv_done,
                                 base + meshBankToCore(s, block, x) +
                                     meshCoreToCore(s, x, c));
-        }
+        });
         Cycle lat = std::max(data_ready, inv_done);
         if (cfg_.sockets > 1 && (llc_global_shared || !data_in_llc))
             lat = std::max(lat,
@@ -504,12 +502,10 @@ CmpSystem::applyInvalidation(Socket &s, const Invalidation &inv, Cycle now)
                static_cast<std::uint32_t>(inv.cores.count()), txn_,
                txnCore_);
     bool dirty_retrieved = false;
-    for (CoreId x = 0; x < cfg_.coresPerSocket; ++x) {
-        if (!inv.cores.test(x))
-            continue;
+    forEachSetBit(inv.cores, [&](CoreId x) {
         const MesiState prev = s.cores[x].invalidate(inv.block, true);
         if (prev == MesiState::Invalid)
-            continue;
+            return;
         noteDevInvalidation();
         send(s, MsgType::Inv, inv.block);
         send(s, MsgType::InvAck, inv.block);
@@ -517,7 +513,7 @@ CmpSystem::applyInvalidation(Socket &s, const Invalidation &inv, Cycle now)
             ++proto_.devOwnedInvalidations;
         if (prev == MesiState::Modified)
             dirty_retrieved = true;
-    }
+    });
     if (dirty_retrieved) {
         // The dirty block comes back with the DEV and lands in the LLC —
         // the effect that lets later requests be served from the LLC

@@ -202,13 +202,13 @@ CmpSystem::handleLlcVictim(Socket &s, const LlcVictim &victim, Cycle now)
         if (cfg_.sockets > 1) {
             // The socket keeps the block only if cores still cache it
             // (the entry may live in-socket or in a home memory segment).
-            Tracking trk = peekTracking(s.id, block);
+            Tracking trk = peekTrackingCounted(s, block);
             if (!trk.found() && !h.memStore.hasSegment(block, s.id))
                 socketEvictionNotice(s.id, block, !victim.dirty, now);
         } else if (!victim.dirty && h.memStore.destroyed(block)) {
             // A clean LLC copy can still be the system-wide last copy of
             // a destroyed memory block; write it back before it is lost.
-            Tracking trk = peekTracking(s.id, block);
+            Tracking trk = peekTrackingCounted(s, block);
             if (!trk.found() && !h.memStore.hasSegment(block, s.id)) {
                 h.dram.write(block, now, true);
                 send(h, MsgType::MemWrite, block);
@@ -228,9 +228,7 @@ CmpSystem::handleLlcVictim(Socket &s, const LlcVictim &victim, Cycle now)
         // Inclusive LLCs never write entries to memory: evicting the
         // line invalidates the tracked copies (inclusion property), so
         // the entry simply dies (Section III-F).
-        for (CoreId x = 0; x < cfg_.coresPerSocket; ++x) {
-            if (!victim.de.isSharer(x))
-                continue;
+        forEachSetBit(victim.de.sharers, [&](CoreId x) {
             const MesiState prev = s.cores[x].invalidate(block, false);
             if (prev != MesiState::Invalid) {
                 noteInclusionInvalidation();
@@ -242,7 +240,7 @@ CmpSystem::handleLlcVictim(Socket &s, const LlcVictim &victim, Cycle now)
                     h.memStore.restoreData(block);
                 }
             }
-        }
+        });
         if (cfg_.sockets > 1)
             socketEvictionNotice(s.id, block, false, now);
         return;
@@ -275,9 +273,7 @@ CmpSystem::inclusionInvalidate(Socket &s, BlockAddr block, Cycle now)
     if (!trk.found())
         return;
     bool dirty = false;
-    for (CoreId x = 0; x < cfg_.coresPerSocket; ++x) {
-        if (!trk.entry.isSharer(x))
-            continue;
+    forEachSetBit(trk.entry.sharers, [&](CoreId x) {
         const MesiState prev = s.cores[x].invalidate(block, false);
         if (prev != MesiState::Invalid) {
             noteInclusionInvalidation();
@@ -286,7 +282,7 @@ CmpSystem::inclusionInvalidate(Socket &s, BlockAddr block, Cycle now)
             if (prev == MesiState::Modified)
                 dirty = true;
         }
-    }
+    });
     if (dirty) {
         Socket &h = home(block);
         h.dram.write(block, now, false);

@@ -245,7 +245,7 @@ CmpSystem::peekTracking(SocketId sid, BlockAddr block) const
             return trk;
         }
     }
-    LlcProbe p = const_cast<Llc &>(s.llc).probe(block);
+    LlcProbe p = s.llc.peek(block);
     if (p.spilled) {
         trk.where = TrackWhere::LlcSpilled;
         trk.entry = p.spilled->de;
@@ -253,6 +253,15 @@ CmpSystem::peekTracking(SocketId sid, BlockAddr block) const
         trk.where = TrackWhere::LlcFused;
         trk.entry = p.data->de;
     }
+    return trk;
+}
+
+Tracking
+CmpSystem::peekTrackingCounted(Socket &s, BlockAddr block)
+{
+    const Tracking trk = peekTracking(s.id, block);
+    if (!s.dirOrg && trk.where != TrackWhere::SparseDir)
+        s.llc.noteLookup(); // the peek fell through to the LLC tags
     return trk;
 }
 

@@ -174,7 +174,7 @@ class CmpSystem
     }
 
     /** Tracking state of @p block within socket @p s (does not touch
-     *  recency state; safe for invariant checking). */
+     *  recency state or statistics; safe for invariant checking). */
     Tracking peekTracking(SocketId s, BlockAddr block) const;
 
     /** Socket-level directory entry of a home block (multi-socket). */
@@ -388,6 +388,10 @@ class CmpSystem
 
     /** Find the in-socket tracking of @p block (touches recency). */
     Tracking findTracking(Socket &s, BlockAddr block);
+
+    /** peekTracking() as a protocol step: falling through to the LLC
+     *  counts a tag lookup, like every other probe the flows make. */
+    Tracking peekTrackingCounted(Socket &s, BlockAddr block);
 
     /**
      * Write back the (possibly updated) tracking state of @p block.

@@ -70,10 +70,9 @@ CmpSystem::invalidateRemoteSharers(Socket &s, BlockAddr block, Cycle now)
         Socket &gs = *sockets_[g];
         Tracking trk = findTracking(gs, block);
         if (trk.found()) {
-            for (CoreId x = 0; x < cfg_.coresPerSocket; ++x) {
-                if (trk.entry.isSharer(x))
-                    gs.cores[x].invalidate(block, false);
-            }
+            forEachSetBit(trk.entry.sharers, [&](CoreId x) {
+                gs.cores[x].invalidate(block, false);
+            });
             DirEntry dead;
             writeTracking(gs, block, trk.where, dead, now);
         } else {
@@ -144,10 +143,9 @@ CmpSystem::supplyFromSocket(Socket &f, AccessType type, BlockAddr block,
     ZDEV_LAT(lat_, obs::LatComp::CoreLookup, f.cores[x].l2Cycles());
 
     if (invalidate_all) {
-        for (CoreId y = 0; y < cfg_.coresPerSocket; ++y) {
-            if (entry.isSharer(y))
-                f.cores[y].invalidate(block, false);
-        }
+        forEachSetBit(entry.sharers, [&](CoreId y) {
+            f.cores[y].invalidate(block, false);
+        });
         // Erase the tracking first (it may live in an LLC line), then
         // drop whatever data line remains.
         DirEntry dead;
@@ -232,10 +230,9 @@ CmpSystem::forwardToSharerSocket(Socket &s, CoreId c, AccessType type,
         ZDEV_LAT(lat_, obs::LatComp::Mesh, fwd_hop);
         ZDEV_LAT(lat_, obs::LatComp::CoreLookup, f.cores[x].l2Cycles());
         if (type == AccessType::Store) {
-            for (CoreId y = 0; y < cfg_.coresPerSocket; ++y) {
-                if (entry.isSharer(y))
-                    f.cores[y].invalidate(block, false);
-            }
+            forEachSetBit(entry.sharers, [&](CoreId y) {
+                f.cores[y].invalidate(block, false);
+            });
             sentry.sharers.reset(fid);
         } else {
             if (entry.state == DirState::Owned) {
@@ -345,10 +342,9 @@ CmpSystem::serveSocketMissMulti(Socket &s, CoreId c, AccessType type,
                 Socket &gs = *sockets_[g];
                 Tracking trk = findTracking(gs, block);
                 if (trk.found()) {
-                    for (CoreId y = 0; y < cfg_.coresPerSocket; ++y) {
-                        if (trk.entry.isSharer(y))
-                            gs.cores[y].invalidate(block, false);
-                    }
+                    forEachSetBit(trk.entry.sharers, [&](CoreId y) {
+                        gs.cores[y].invalidate(block, false);
+                    });
                     DirEntry dead;
                     writeTracking(gs, block, trk.where, dead, now);
                 } else {
@@ -457,10 +453,9 @@ CmpSystem::serveSocketMissMulti(Socket &s, CoreId c, AccessType type,
                 Socket &gs = *sockets_[g];
                 Tracking trk = findTracking(gs, block);
                 if (trk.found()) {
-                    for (CoreId y = 0; y < cfg_.coresPerSocket; ++y) {
-                        if (trk.entry.isSharer(y))
-                            gs.cores[y].invalidate(block, false);
-                    }
+                    forEachSetBit(trk.entry.sharers, [&](CoreId y) {
+                        gs.cores[y].invalidate(block, false);
+                    });
                     DirEntry dead;
                     writeTracking(gs, block, trk.where, dead, now);
                 } else {

@@ -8,6 +8,7 @@
 #ifndef ZERODEV_DIRECTORY_DIR_ENTRY_HH
 #define ZERODEV_DIRECTORY_DIR_ENTRY_HH
 
+#include "common/bitops.hh"
 #include "common/log.hh"
 #include "common/serialize.hh"
 #include "common/types.hh"
@@ -27,11 +28,10 @@ struct DirEntry
     {
         if (state != DirState::Owned)
             panic("owner() on a %s entry", toString(state));
-        for (CoreId c = 0; c < kMaxCores; ++c) {
-            if (sharers.test(c))
-                return c;
-        }
-        panic("Owned entry with empty sharer vector");
+        const CoreId c = firstSetBit(sharers);
+        if (c == kMaxCores)
+            panic("Owned entry with empty sharer vector");
+        return c;
     }
 
     /** Number of cores currently tracked. */
@@ -73,11 +73,8 @@ struct DirEntry
     CoreId
     anySharer() const
     {
-        for (CoreId c = 0; c < kMaxCores; ++c) {
-            if (sharers.test(c))
-                return c;
-        }
-        return kInvalidCore;
+        const CoreId c = firstSetBit(sharers);
+        return c == kMaxCores ? kInvalidCore : c;
     }
 
     bool live() const { return state != DirState::Invalid; }

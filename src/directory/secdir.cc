@@ -156,9 +156,7 @@ SecDir::migrateToPrivate(Slice &slice, BlockAddr block,
                          std::vector<Invalidation> &invs)
 {
     const std::uint64_t sa = sliceAddr(block);
-    for (std::uint32_t c = 0; c < cores_; ++c) {
-        if (!victim.sharers.test(c))
-            continue;
+    forEachSetBit(victim.sharers, [&](CoreId c) {
         auto &zone = slice.priv[c];
         const std::size_t pset = setIndex(sa, zone.numSets());
         const std::uint64_t ptag = tagOf(sa, zone.numSets());
@@ -184,7 +182,7 @@ SecDir::migrateToPrivate(Slice &slice, BlockAddr block,
         line.block = block;
         line.owned = victim.state == DirState::Owned;
         zone.touch(pset, free_way.way);
-    }
+    });
 }
 
 void

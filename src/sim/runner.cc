@@ -13,6 +13,7 @@
 #include "obs/sampler.hh"
 #include "obs/telemetry.hh"
 #include "obs/trace.hh"
+#include "sim/issue_scheduler.hh"
 #include "sim/snapshot.hh"
 
 namespace zerodev
@@ -306,19 +307,19 @@ run(CmpSystem &sys, const Workload &workload, const RunConfig &rc)
         rc.telemetry ? rc.telemetry->heartbeatEvery() : 0;
     std::uint64_t next_beat = beat ? (executed / beat + 1) * beat : ~0ull;
 
-    // Issue in globally non-decreasing ready-time order: a linear scan
-    // over <= 128 cores per transaction keeps the engine simple and is
-    // far from the bottleneck.
+    // Issue in globally non-decreasing ready-time order, ties to the
+    // lowest core. A per-access linear scan over 128 cores was the
+    // largest host cost outside CmpSystem::access, so the scheduler
+    // keeps grouped minima (docs/PERFORMANCE.md). It is built from the
+    // (possibly restored) core states.
+    IssueScheduler sched(cores);
+    for (std::uint32_t c = 0; c < cores; ++c) {
+        sched.set(c, state[c].active ? state[c].ready
+                                     : IssueScheduler::kFinished);
+    }
     bool interrupted = false;
     while (true) {
-        std::uint32_t best = cores;
-        Cycle best_t = ~0ull;
-        for (std::uint32_t c = 0; c < cores; ++c) {
-            if (state[c].active && state[c].ready < best_t) {
-                best_t = state[c].ready;
-                best = c;
-            }
-        }
+        const std::uint32_t best = sched.next();
         if (best == cores)
             break; // every core finished
 
@@ -336,6 +337,7 @@ run(CmpSystem &sys, const Workload &workload, const RunConfig &rc)
         ++cs.done;
         if (cs.done >= total)
             cs.active = false;
+        sched.set(best, cs.active ? done : IssueScheduler::kFinished);
 
         ++executed;
         if (executed >= next_check) {

@@ -7,10 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/bitops.hh"
 #include "common/config.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
+#include "common/types.hh"
 
 namespace zerodev
 {
@@ -53,6 +56,30 @@ TEST(Bitops, BitFieldRoundTrip)
     w = insertBits(v, 0, 4, 0x5);
     EXPECT_EQ(bits(w, 0, 4), 0x5ull);
     EXPECT_EQ(bits(w, 4, 60), bits(v, 4, 60));
+}
+
+TEST(Bitops, SetBitWalkMatchesPerBitTest)
+{
+    // Sharer vectors span two 64-bit words at 128 cores.
+    Rng rng(7);
+    for (int trial = 0; trial < 200; ++trial) {
+        SharerSet s;
+        for (CoreId c = 0; c < kMaxCores; ++c) {
+            if (rng.chance(trial % 2 ? 0.02 : 0.3))
+                s.set(c);
+        }
+        std::vector<CoreId> want, got;
+        for (CoreId c = 0; c < kMaxCores; ++c) {
+            if (s.test(c))
+                want.push_back(c);
+        }
+        forEachSetBit(s, [&](CoreId c) { got.push_back(c); });
+        EXPECT_EQ(got, want);
+        EXPECT_EQ(firstSetBit(s), want.empty() ? kMaxCores : want.front());
+    }
+    EXPECT_EQ(firstSetBit(SharerSet{}), kMaxCores);
+    EXPECT_EQ(firstSetBit(SharerSet{}.set(127)), 127u);
+    EXPECT_EQ(firstSetBit(SharerSet{}.set(64).set(100)), 64u);
 }
 
 TEST(Rng, Deterministic)

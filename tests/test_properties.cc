@@ -14,6 +14,7 @@
 
 #include <tuple>
 
+#include "common/serialize.hh"
 #include "core/invariants.hh"
 #include "sim/runner.hh"
 #include "test_util.hh"
@@ -204,6 +205,42 @@ INSTANTIATE_TEST_SUITE_P(
                    LlcFlavor::NonInclusive, LlcReplPolicy::DataLru, 1,
                    "water_nsquared"}),
     paramName);
+
+// An invariant sweep only observes: it must not count LLC lookups (the
+// energy model's tag-lookup activity) or otherwise change saved state.
+TEST(Invariants, SweepLeavesStatisticsAndStateUnchanged)
+{
+    for (const std::uint32_t sockets : {1u, 2u}) {
+        SCOPED_TRACE("sockets=" + std::to_string(sockets));
+        // No sparse directory: every tracking peek falls through to the
+        // LLC, where the spilled and fused entries live.
+        SystemConfig cfg = testutil::tinyZeroDev(0.0);
+        cfg.sockets = sockets;
+        CmpSystem sys(cfg);
+        RunConfig rc;
+        rc.accessesPerCore = 3000;
+        run(sys,
+            Workload::multiThreaded(profileByName("canneal"),
+                                    cfg.coresPerSocket * sockets),
+            rc);
+
+        SerialOut before;
+        sys.saveState(before);
+        std::vector<std::uint64_t> lookups;
+        for (SocketId s = 0; s < sockets; ++s) {
+            ASSERT_GT(sys.llc(s).deLines(), 0u);
+            lookups.push_back(sys.llc(s).stats().lookups);
+        }
+
+        EXPECT_TRUE(checkInvariants(sys).empty());
+
+        for (SocketId s = 0; s < sockets; ++s)
+            EXPECT_EQ(sys.llc(s).stats().lookups, lookups[s]);
+        SerialOut after;
+        sys.saveState(after);
+        EXPECT_EQ(after.data(), before.data());
+    }
+}
 
 } // namespace
 } // namespace zerodev

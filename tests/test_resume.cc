@@ -140,6 +140,42 @@ TEST(Resume, GeneratorRunIsBitIdenticalForManyCheckpoints)
     }
 }
 
+TEST(Resume, PartialSchedulerGroupResumesBitIdentically)
+{
+    // 12 cores fill one issue-scheduler group of 8 and half of a second:
+    // the scheduler rebuilt from the restored core states must pick the
+    // same cores in the same order as the straight run.
+    SystemConfig cfg = testutil::tinyZeroDev(0.125);
+    cfg.coresPerSocket = 12;
+    const Workload w = cannealOn(cfg);
+    const std::uint64_t perCore = 400; // 4800 accesses total
+    const std::uint64_t k = 2333;
+
+    RunConfig straight;
+    straight.accessesPerCore = perCore;
+    CmpSystem refSys(cfg);
+    const RunResult ref = run(refSys, w, straight);
+
+    // Cadence k writes checkpoints at k and 2k; resume from the first.
+    RunConfig leg1;
+    leg1.accessesPerCore = perCore;
+    leg1.snapshotEvery = k;
+    leg1.snapshotPath = tmpPath("twelve_{n}.snap");
+    CmpSystem sys1(cfg);
+    expectSameResult(run(sys1, w, leg1), ref);
+    std::remove(tmpPath("twelve_" + std::to_string(2 * k) + ".snap").c_str());
+
+    RunConfig leg2;
+    leg2.accessesPerCore = perCore;
+    leg2.restorePath = tmpPath("twelve_" + std::to_string(k) + ".snap");
+    CmpSystem sys2(cfg);
+    const RunResult r2 = run(sys2, w, leg2);
+    expectSameResult(r2, ref);
+    EXPECT_EQ(reportFor(cfg, r2), reportFor(cfg, ref));
+    EXPECT_EQ(stateBytes(sys2), stateBytes(refSys));
+    std::remove(leg2.restorePath.c_str());
+}
+
 TEST(Resume, ReplayIsBitIdenticalAfterRestore)
 {
     const SystemConfig cfg = testutil::tinyZeroDev();

@@ -8,9 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
+#include "common/rng.hh"
 #include "core/energy_model.hh"
 #include "sim/experiment.hh"
+#include "sim/issue_scheduler.hh"
 #include "sim/runner.hh"
 #include "test_util.hh"
 
@@ -91,6 +95,68 @@ TEST(Runner, TraceReplayMatchesLiveRun)
     EXPECT_EQ(r_live.cycles, r_replay.cycles);
     EXPECT_EQ(r_live.trafficBytes, r_replay.trafficBytes);
     std::remove(path.c_str());
+}
+
+/** The per-access scan IssueScheduler replaces: the lowest ready time
+ *  among active cores, ties to the lowest core; cores when none. */
+std::uint32_t
+linearScan(const std::vector<Cycle> &ready, const std::vector<bool> &active)
+{
+    const auto cores = static_cast<std::uint32_t>(ready.size());
+    std::uint32_t best = cores;
+    Cycle best_t = ~0ull;
+    for (std::uint32_t c = 0; c < cores; ++c) {
+        if (active[c] && ready[c] < best_t) {
+            best_t = ready[c];
+            best = c;
+        }
+    }
+    return best;
+}
+
+TEST(IssueScheduler, MatchesLinearScan)
+{
+    // Partial groups (1, 3, 9, 17), exactly one group (8) and the server
+    // config (128). Ready times advance by 0-2 cycles, so many cores tie,
+    // and each core has its own quota, so cores finish at different
+    // points.
+    for (const std::uint32_t cores : {1u, 3u, 8u, 9u, 17u, 128u}) {
+        SCOPED_TRACE("cores=" + std::to_string(cores));
+        Rng rng(cores);
+        std::vector<Cycle> ready(cores);
+        std::vector<bool> active(cores, true);
+        std::vector<std::uint64_t> quota(cores);
+        std::uint64_t total = 0;
+        IssueScheduler sched(cores);
+        for (std::uint32_t c = 0; c < cores; ++c) {
+            ready[c] = rng.below(4);
+            quota[c] = 1 + rng.below(300);
+            total += quota[c];
+            sched.set(c, ready[c]);
+        }
+
+        std::uint64_t issued = 0;
+        while (true) {
+            const std::uint32_t want = linearScan(ready, active);
+            ASSERT_EQ(sched.next(), want) << "after " << issued;
+            if (want == cores)
+                break;
+            ++issued;
+            ready[want] += rng.below(3);
+            if (--quota[want] == 0)
+                active[want] = false;
+            sched.set(want, active[want] ? ready[want]
+                                         : IssueScheduler::kFinished);
+
+            // A core other than the winner may move too.
+            const auto other = static_cast<std::uint32_t>(rng.below(cores));
+            if (active[other] && rng.chance(0.2)) {
+                ready[other] += rng.below(3);
+                sched.set(other, ready[other]);
+            }
+        }
+        EXPECT_EQ(issued, total);
+    }
 }
 
 TEST(Experiment, SpeedupArithmetic)
