@@ -242,5 +242,113 @@ TEST(Invariants, SweepLeavesStatisticsAndStateUnchanged)
     }
 }
 
+// Negative coverage: each rule fires, with its exact message, on a
+// system corrupted behind the protocol's back. The components are only
+// exposed const (observers must not mutate); a test owning the system
+// may cast that away to plant one fault.
+template <typename T>
+T &
+mut(const T &x)
+{
+    return const_cast<T &>(x);
+}
+
+/** The detail of the first violation of @p rule ("" if none). */
+std::string
+firstDetail(const CmpSystem &sys, const std::string &rule)
+{
+    for (const Violation &v : checkInvariants(sys)) {
+        if (v.rule == rule)
+            return v.detail;
+    }
+    return "";
+}
+
+TEST(InvariantRules, CleanSystemHasNoViolations)
+{
+    CmpSystem sys(testutil::tinyConfig());
+    sys.access(0, AccessType::Load, 5, 0);
+    sys.access(1, AccessType::Store, 9, 0);
+    EXPECT_TRUE(checkInvariants(sys).empty());
+}
+
+TEST(InvariantRules, TrackingPrecision)
+{
+    CmpSystem sys(testutil::tinyConfig());
+    sys.access(0, AccessType::Load, 5, 0);
+    sys.access(0, AccessType::Load, 6, 0);
+    // Core 1 gains a copy the directory never saw.
+    mut(sys.privateCache(0, 1)).fill(AccessType::Load, 5, MesiState::Shared);
+    EXPECT_EQ(firstDetail(sys, "tracking-precision"),
+              "socket 0 block 0x5 sharer vector mismatch");
+}
+
+TEST(InvariantRules, NoDangling)
+{
+    // The audited entries are ZeroDEV's: its sparse directory and the
+    // fused/spilled LLC lines.
+    CmpSystem sys(testutil::tinyZeroDev());
+    sys.access(0, AccessType::Load, 5, 0);
+    sys.access(1, AccessType::Load, 0x2a, 0);
+    // Core 1 silently drops a block its directory entry still tracks.
+    mut(sys.privateCache(0, 1)).invalidate(0x2a, false);
+    EXPECT_EQ(firstDetail(sys, "no-dangling"),
+              "sparse-dir entry for 0x2a tracks cores that do not cache "
+              "it");
+    EXPECT_EQ(firstDetail(sys, "tracking-precision"), "");
+}
+
+TEST(InvariantRules, TagDuplication)
+{
+    CmpSystem sys(testutil::tinyConfig());
+    // Three data lines under one tag in the block's LLC set.
+    for (int i = 0; i < 3; ++i)
+        mut(sys.llc(0)).allocate(0x44, LlcLineKind::Data, false, DirEntry{});
+    EXPECT_EQ(firstDetail(sys, "tag-duplication"),
+              "block 0x44 matches 3 LLC lines");
+}
+
+TEST(InvariantRules, SingleOwner)
+{
+    CmpSystem sys(testutil::tinyConfig());
+    sys.access(0, AccessType::Store, 5, 0);
+    // A second M copy next to core 0's.
+    mut(sys.privateCache(0, 1))
+        .fill(AccessType::Store, 5, MesiState::Modified);
+    EXPECT_EQ(firstDetail(sys, "single-owner"),
+              "block 0x5 has multiple M/E owners");
+}
+
+TEST(InvariantRules, Inclusion)
+{
+    SystemConfig cfg = testutil::tinyConfig();
+    cfg.llcFlavor = LlcFlavor::Inclusive;
+    CmpSystem sys(cfg);
+    sys.access(0, AccessType::Load, 5, 0);
+    sys.access(1, AccessType::Load, 7, 0);
+    // The inclusive LLC loses the data line of a privately cached block.
+    Llc &llc = mut(sys.llc(0));
+    const LlcProbe p = llc.probe(7);
+    ASSERT_NE(p.data, nullptr);
+    llc.invalidateLine(*p.data);
+    EXPECT_EQ(firstDetail(sys, "inclusion"),
+              "block 0x7 cached privately but absent from an inclusive "
+              "LLC");
+}
+
+TEST(InvariantRules, CorruptionSafety)
+{
+    CmpSystem sys(testutil::tinyConfig());
+    sys.access(0, AccessType::Load, 5, 0);
+    // An entry written over the memory data of a block nobody caches.
+    DirEntry e;
+    e.state = DirState::Shared;
+    e.sharers.set(0);
+    mut(sys.memStore(0)).storeSegment(0x99, 0, e);
+    EXPECT_EQ(firstDetail(sys, "corruption-safety"),
+              "destroyed memory block 0x99 has no cached copy anywhere in "
+              "the system");
+}
+
 } // namespace
 } // namespace zerodev

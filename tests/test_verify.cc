@@ -10,7 +10,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <map>
 
+#include "common/serialize.hh"
+#include "core/cmp_system.hh"
+#include "sim/snapshot.hh"
 #include "verify/differ.hh"
 #include "verify/shrink.hh"
 
@@ -219,6 +224,207 @@ TEST(Differ, MultiSocketVariantsCoverBothPartitionings)
     }
     EXPECT_TRUE(single);
     EXPECT_TRUE(dual);
+}
+
+
+// ---------------------------------------------------------------------
+// Pinned verdicts. A planted fault at a chosen record, in a chosen
+// instance, must produce exactly the same DifferResult however the
+// lockstep loop is scheduled internally: the records straddle the
+// 1024-record core-state cadence and the 500-record snapshot cadence.
+// ---------------------------------------------------------------------
+
+/** A block no fuzz phase touches: planted loads of it are the only
+ *  records that reach it. */
+constexpr BlockAddr kPlantBlock = 0x5eed000;
+constexpr std::size_t kPinnedLen = 2100;
+
+/** fuzzStream seed 21, with record @p at turned into a load of
+ *  kPlantBlock. */
+std::vector<TraceRecord>
+plantedStream(std::size_t at)
+{
+    auto s = fuzzStream(21, 4, kPinnedLen);
+    for (const TraceRecord &r : s)
+        EXPECT_NE(r.access.block, kPlantBlock);
+    s[at].access.type = AccessType::Load;
+    s[at].access.block = kPlantBlock;
+    return s;
+}
+
+Differ
+plantedDiffer(std::size_t instance)
+{
+    DifferOptions opt;
+    opt.snapshotCadence = 500;
+    Differ d(Differ::standardVariants(4), opt);
+    FaultHook hook;
+    hook.enabled = true;
+    hook.instance = instance;
+    hook.block = kPlantBlock;
+    hook.afterStores = 0;
+    d.setFaultHook(hook);
+    return d;
+}
+
+struct PinnedVerdict
+{
+    std::size_t at;
+    std::size_t instance;
+    const char *name;
+    CoreId core;
+    std::uint64_t sweeps;
+    std::uint64_t checkpointAt;
+};
+
+TEST(DifferPinned, PlantedFaultVerdictsAreExact)
+{
+    const std::size_t last = Differ::standardVariants(4).size() - 1;
+    ASSERT_EQ(last, 14u);
+    const PinnedVerdict pins[] = {
+        {0, 1, "sparse-1x", 0, 0, 0},
+        {0, 14, "phasepri", 0, 0, 0},
+        {1023, 1, "sparse-1x", 3, 0, 1000},
+        {1023, 14, "phasepri", 3, 0, 1000},
+        {1024, 1, "sparse-1x", 0, 1, 1000},
+        {1024, 14, "phasepri", 0, 1, 1000},
+        {1025, 1, "sparse-1x", 1, 1, 1000},
+        {1025, 14, "phasepri", 1, 1, 1000},
+        {kPinnedLen - 1, 1, "sparse-1x", 0, 2, 2000},
+        {kPinnedLen - 1, 14, "phasepri", 0, 2, 2000},
+    };
+    for (const PinnedVerdict &p : pins) {
+        SCOPED_TRACE("record " + std::to_string(p.at) + " instance " +
+                     std::to_string(p.instance));
+        const auto stream = plantedStream(p.at);
+        const DifferResult res = plantedDiffer(p.instance).run(stream);
+        ASSERT_TRUE(res.divergence.found);
+        EXPECT_EQ(res.divergence.rule, "load-value");
+        EXPECT_EQ(res.divergence.instance, p.name);
+        EXPECT_EQ(res.divergence.accessIndex, p.at);
+        EXPECT_EQ(res.divergence.detail,
+                  "Load of 0x5eed000 by core " + std::to_string(p.core) +
+                      " observed value 1, unbounded observed 0");
+        EXPECT_EQ(res.accesses, p.at + 1);
+        EXPECT_EQ(res.sweeps, p.sweeps);
+        EXPECT_EQ(res.checkpoint.valid, p.checkpointAt != 0);
+        EXPECT_EQ(res.checkpoint.accessIndex, p.checkpointAt);
+    }
+}
+
+TEST(DifferPinned, CheckpointMatchesStandaloneReplays)
+{
+    const auto stream = fuzzStream(21, 4, kPinnedLen);
+    DifferOptions opt;
+    opt.snapshotCadence = 500;
+    std::vector<std::uint64_t> progress;
+    opt.progress = [&](std::uint64_t done) { progress.push_back(done); };
+    const Differ differ(Differ::standardVariants(4), opt);
+    const DifferResult res = differ.run(stream);
+    ASSERT_TRUE(res.ok()) << res.divergence.rule << ": "
+                          << res.divergence.detail;
+    EXPECT_EQ(res.accesses, kPinnedLen);
+    EXPECT_EQ(res.sweeps, 3u); // at 1024, 2048 and the end of stream
+    EXPECT_EQ(progress, (std::vector<std::uint64_t>{2048, kPinnedLen}));
+
+    const DifferCheckpoint &cp = res.checkpoint;
+    ASSERT_TRUE(cp.valid);
+    ASSERT_EQ(cp.accessIndex, 2000u);
+    ASSERT_EQ(cp.instances.size(), differ.variants().size());
+    for (std::size_t i = 0; i < cp.instances.size(); ++i) {
+        SCOPED_TRACE(differ.variants()[i].name);
+        CmpSystem sys(differ.variants()[i].cfg);
+        Cycle now = 0;
+        for (std::uint64_t r = 0; r < cp.accessIndex; ++r) {
+            const TraceRecord &rec = stream[r];
+            now = sys.access(rec.core, rec.access.type, rec.access.block,
+                             now + rec.access.gap);
+        }
+        SerialOut out;
+        sys.saveState(out);
+        EXPECT_TRUE(out.data() == cp.instances[i].system);
+        EXPECT_EQ(cp.instances[i].now, now);
+        EXPECT_TRUE(cp.instances[i].poisoned.empty());
+    }
+    std::map<BlockAddr, std::uint64_t> versions;
+    for (std::uint64_t r = 0; r < cp.accessIndex; ++r) {
+        const TraceRecord &rec = stream[r];
+        std::uint64_t &v = versions[rec.access.block];
+        if (rec.access.type == AccessType::Store)
+            ++v;
+    }
+    EXPECT_EQ(cp.versions,
+              (std::vector<std::pair<BlockAddr, std::uint64_t>>(
+                  versions.begin(), versions.end())));
+}
+
+TEST(DifferPinned, ResumeFromSavedCheckpointKeepsTheVerdict)
+{
+    const std::size_t at = 1700;
+    const auto stream = plantedStream(at);
+    const Differ differ = plantedDiffer(14);
+    const DifferResult full = differ.run(stream);
+    ASSERT_TRUE(full.divergence.found);
+    EXPECT_EQ(full.sweeps, 1u);
+    ASSERT_TRUE(full.checkpoint.valid);
+    ASSERT_EQ(full.checkpoint.accessIndex, 1500u);
+
+    const std::string path = testing::TempDir() + "differ-pinned.ckpt";
+    std::string err;
+    ASSERT_TRUE(full.checkpoint.save(path, &err)) << err;
+    DifferCheckpoint loaded;
+    ASSERT_TRUE(loaded.load(path, &err)) << err;
+    std::remove(path.c_str());
+    ASSERT_EQ(loaded.instances.size(), full.checkpoint.instances.size());
+    for (std::size_t i = 0; i < loaded.instances.size(); ++i) {
+        EXPECT_TRUE(loaded.instances[i].system ==
+                    full.checkpoint.instances[i].system);
+        EXPECT_EQ(loaded.instances[i].now, full.checkpoint.instances[i].now);
+    }
+    EXPECT_EQ(loaded.versions, full.checkpoint.versions);
+
+    const DifferCheckpoint *const from[] = {&full.checkpoint, &loaded};
+    for (const DifferCheckpoint *cp : from) {
+        const DifferResult tail = differ.resume(*cp, stream);
+        ASSERT_TRUE(tail.divergence.found);
+        EXPECT_EQ(tail.divergence.rule, full.divergence.rule);
+        EXPECT_EQ(tail.divergence.instance, full.divergence.instance);
+        EXPECT_EQ(tail.divergence.accessIndex, at);
+        EXPECT_EQ(tail.divergence.detail, full.divergence.detail);
+        EXPECT_EQ(tail.accesses, full.accesses);
+        EXPECT_EQ(tail.sweeps, 0u); // no cadence point in [1500, 1700]
+    }
+}
+
+TEST(DifferPinned, TruncatedCheckpointFailsToLoad)
+{
+    const auto stream = fuzzStream(21, 4, 600);
+    DifferOptions opt;
+    opt.snapshotCadence = 500;
+    const DifferResult res =
+        Differ(Differ::quickVariants(4), opt).run(stream);
+    ASSERT_TRUE(res.checkpoint.valid);
+    const std::string path = testing::TempDir() + "differ-trunc.ckpt";
+    std::string err;
+    ASSERT_TRUE(res.checkpoint.save(path, &err)) << err;
+    DifferCheckpoint loaded;
+    ASSERT_TRUE(loaded.load(path, &err)) << err;
+
+    // Claim one more image byte than the section holds: the size
+    // field of the first instance follows the u64 index and u32 count.
+    Snapshot snap;
+    ASSERT_TRUE(snap.readFile(path, &err)) << err;
+    std::vector<std::uint8_t> bytes = *snap.find("differ");
+    Snapshot bad;
+    SerialOut &out = bad.section("differ");
+    out.raw(bytes.data(), 12);
+    out.u64(bytes.size());
+    out.raw(bytes.data() + 20, bytes.size() - 20);
+    ASSERT_TRUE(bad.writeFile(path, &err)) << err;
+    EXPECT_FALSE(loaded.load(path, &err));
+    EXPECT_EQ(err, "snapshot truncated");
+    EXPECT_FALSE(loaded.valid);
+    std::remove(path.c_str());
 }
 
 } // namespace
