@@ -34,27 +34,9 @@ class SerialOut
 {
   public:
     void u8(std::uint8_t v) { buf_.push_back(v); }
-
-    void
-    u16(std::uint16_t v)
-    {
-        u8(static_cast<std::uint8_t>(v));
-        u8(static_cast<std::uint8_t>(v >> 8));
-    }
-
-    void
-    u32(std::uint32_t v)
-    {
-        u16(static_cast<std::uint16_t>(v));
-        u16(static_cast<std::uint16_t>(v >> 16));
-    }
-
-    void
-    u64(std::uint64_t v)
-    {
-        u32(static_cast<std::uint32_t>(v));
-        u32(static_cast<std::uint32_t>(v >> 32));
-    }
+    void u16(std::uint16_t v) { put(v); }
+    void u32(std::uint32_t v) { put(v); }
+    void u64(std::uint64_t v) { put(v); }
 
     void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
 
@@ -90,12 +72,12 @@ class SerialOut
     void
     bits(const std::bitset<N> &bs)
     {
-        for (std::size_t w = 0; w < (N + 63) / 64; ++w) {
-            std::uint64_t word = 0;
-            for (std::size_t i = 0; i < 64 && w * 64 + i < N; ++i)
-                if (bs[w * 64 + i])
-                    word |= 1ull << i;
-            u64(word);
+        if constexpr (N <= 64) {
+            u64(bs.to_ullong());
+        } else {
+            const std::bitset<N> low(~0ull);
+            for (std::size_t w = 0; w < (N + 63) / 64; ++w)
+                u64(((bs >> (w * 64)) & low).to_ullong());
         }
     }
 
@@ -103,6 +85,18 @@ class SerialOut
     std::size_t size() const { return buf_.size(); }
 
   private:
+    /** Append @p v as sizeof(T) little-endian bytes in one insert (the
+     *  shift loop compiles to a single store on little-endian hosts). */
+    template <typename T>
+    void
+    put(T v)
+    {
+        std::uint8_t bytes[sizeof(T)];
+        for (std::size_t i = 0; i < sizeof(T); ++i)
+            bytes[i] = static_cast<std::uint8_t>(v >> (8 * i));
+        buf_.insert(buf_.end(), bytes, bytes + sizeof(T));
+    }
+
     std::vector<std::uint8_t> buf_;
 };
 
@@ -128,26 +122,9 @@ class SerialIn
         return data_[pos_++];
     }
 
-    std::uint16_t
-    u16()
-    {
-        const std::uint16_t lo = u8();
-        return static_cast<std::uint16_t>(lo | (std::uint16_t(u8()) << 8));
-    }
-
-    std::uint32_t
-    u32()
-    {
-        const std::uint32_t lo = u16();
-        return lo | (std::uint32_t(u16()) << 16);
-    }
-
-    std::uint64_t
-    u64()
-    {
-        const std::uint64_t lo = u32();
-        return lo | (std::uint64_t(u32()) << 32);
-    }
+    std::uint16_t u16() { return get<std::uint16_t>(); }
+    std::uint32_t u32() { return get<std::uint32_t>(); }
+    std::uint64_t u64() { return get<std::uint64_t>(); }
 
     std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
 
@@ -173,18 +150,30 @@ class SerialIn
         return s;
     }
 
+    /** @p n raw bytes (no length prefix) as a span into the input;
+     *  null, with the fail flag set, when fewer than @p n remain. */
+    const std::uint8_t *
+    raw(std::size_t n)
+    {
+        if (!need(n))
+            return nullptr;
+        const std::uint8_t *p = data_ + pos_;
+        pos_ += n;
+        return p;
+    }
+
     template <std::size_t N>
     std::bitset<N>
     bits()
     {
-        std::bitset<N> bs;
-        for (std::size_t w = 0; w < (N + 63) / 64; ++w) {
-            const std::uint64_t word = u64();
-            for (std::size_t i = 0; i < 64 && w * 64 + i < N; ++i)
-                if (word & (1ull << i))
-                    bs.set(w * 64 + i);
+        if constexpr (N <= 64) {
+            return std::bitset<N>(u64());
+        } else {
+            std::bitset<N> bs;
+            for (std::size_t w = 0; w < (N + 63) / 64; ++w)
+                bs |= std::bitset<N>(u64()) << (w * 64);
+            return bs;
         }
-        return bs;
     }
 
     /** Record a decoding failure; the first message wins. */
@@ -215,6 +204,21 @@ class SerialIn
     bool exhausted() const { return ok_ && pos_ == size_; }
 
   private:
+    /** sizeof(T) little-endian bytes (one load on little-endian
+     *  hosts); 0 once the input is exhausted or failed. */
+    template <typename T>
+    T
+    get()
+    {
+        if (!need(sizeof(T)))
+            return 0;
+        T v = 0;
+        for (std::size_t i = 0; i < sizeof(T); ++i)
+            v |= static_cast<T>(T(data_[pos_ + i]) << (8 * i));
+        pos_ += sizeof(T);
+        return v;
+    }
+
     bool
     need(std::size_t n)
     {

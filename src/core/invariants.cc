@@ -1,7 +1,6 @@
 #include "core/invariants.hh"
 
-#include <map>
-#include <set>
+#include <algorithm>
 #include <sstream>
 
 #include "common/log.hh"
@@ -20,6 +19,55 @@ hex(BlockAddr b)
     return os.str();
 }
 
+/** Which cores of one socket cache a block. */
+struct Holders
+{
+    SharerSet cores;
+    std::uint32_t owners = 0; //!< cores holding the block in M/E
+};
+
+using Held = std::pair<BlockAddr, Holders>; //!< sorted by block
+using Tag = std::pair<BlockAddr, LlcLineKind>; //!< one per LLC line
+
+template <typename T>
+bool
+byBlock(const T &a, const T &b)
+{
+    return a.first < b.first;
+}
+
+/** The block's entries of a by-block sorted vector. */
+template <typename T>
+std::pair<typename std::vector<T>::const_iterator,
+          typename std::vector<T>::const_iterator>
+entriesOf(const std::vector<T> &v, BlockAddr b)
+{
+    return std::equal_range(v.begin(), v.end(), T{b, {}}, byBlock<T>);
+}
+
+const Holders *
+holdersOf(const std::vector<Held> &cached, BlockAddr b)
+{
+    const auto [lo, hi] = entriesOf(cached, b);
+    return lo != hi ? &lo->second : nullptr;
+}
+
+/** Does the LLC hold a line for @p b whose kind satisfies @p want? */
+template <typename Pred>
+bool
+llcHolds(const std::vector<Tag> &tags, BlockAddr b, Pred want)
+{
+    const auto [lo, hi] = entriesOf(tags, b);
+    return std::any_of(lo, hi, [&](const Tag &t) { return want(t.second); });
+}
+
+/** A data-bearing line: a plain data line or a fused one. */
+bool
+carriesData(LlcLineKind k)
+{
+    return k == LlcLineKind::Data || k == LlcLineKind::FusedDe;
+}
+
 } // namespace
 
 std::vector<Violation>
@@ -34,25 +82,39 @@ checkInvariants(const CmpSystem &sys)
         out.push_back({rule, det});
     };
 
+    // Per socket, the privately cached blocks and the LLC lines, as
+    // vectors sorted by block (kept for the system-wide pass). Walks
+    // over them visit blocks in ascending order, as the ordered maps
+    // they replace did, so violations come out in the same order.
+    std::vector<std::vector<Held>> cachedBy(cfg.sockets);
+    std::vector<std::vector<Tag>> tagsBy(cfg.sockets);
+
     for (SocketId s = 0; s < cfg.sockets; ++s) {
         // Ground truth: which cores of this socket cache which blocks.
-        struct Holders
-        {
-            SharerSet cores;
-            std::uint32_t owners = 0; //!< cores holding the block in M/E
-        };
-        std::map<BlockAddr, Holders> cached;
+        // One entry per cached copy, then merged per block.
+        std::vector<Held> &cached = cachedBy[s];
         for (CoreId c = 0; c < cfg.coresPerSocket; ++c) {
             sys.privateCache(s, c).forEachBlock(
                 [&](BlockAddr b, MesiState st) {
-                    Holders &h = cached[b];
+                    Holders h;
                     h.cores.set(c);
-                    if (st == MesiState::Modified ||
-                        st == MesiState::Exclusive) {
-                        ++h.owners;
-                    }
+                    h.owners = st == MesiState::Modified ||
+                               st == MesiState::Exclusive;
+                    cached.emplace_back(b, h);
                 });
         }
+        std::sort(cached.begin(), cached.end(), byBlock<Held>);
+        std::size_t merged = 0;
+        for (const Held &copy : cached) {
+            if (merged && cached[merged - 1].first == copy.first) {
+                Holders &h = cached[merged - 1].second;
+                h.cores |= copy.second.cores;
+                h.owners += copy.second.owners;
+            } else {
+                cached[merged++] = copy;
+            }
+        }
+        cached.resize(merged);
 
         // 1-DLS. The directoryless backend has no tracking state to
         // audit; its own protocol rules replace the directory checks:
@@ -125,8 +187,8 @@ checkInvariants(const CmpSystem &sys)
                                           hex(block));
                 return;
             }
-            auto it = cached.find(block);
-            if (it == cached.end() || it->second.cores != e.sharers) {
+            const Holders *h = holdersOf(cached, block);
+            if (!h || h->cores != e.sharers) {
                 violate("no-dangling",
                         std::string(where) + " entry for " + hex(block) +
                             " tracks cores that do not cache it");
@@ -140,16 +202,13 @@ checkInvariants(const CmpSystem &sys)
 
         // 3. LLC line rules.
         const Llc &llc = sys.llc(s);
-        std::set<BlockAddr> llc_data;
-        std::map<BlockAddr, int> tag_matches;
+        std::vector<Tag> &tags = tagsBy[s];
         llc.forEach([&](const LlcLine &l) {
-            ++tag_matches[l.block];
+            tags.emplace_back(l.block, l.kind);
             switch (l.kind) {
               case LlcLineKind::Data:
-                llc_data.insert(l.block);
                 break;
               case LlcLineKind::FusedDe:
-                llc_data.insert(l.block);
                 if (dls) {
                     violate("dls-no-directory-lines",
                             "directoryless LLC holds a fused entry for " +
@@ -179,20 +238,27 @@ checkInvariants(const CmpSystem &sys)
                 break;
             }
         });
+        std::sort(tags.begin(), tags.end(), byBlock<Tag>);
+        const auto llc_has_data = [&](BlockAddr b) {
+            return llcHolds(tags, b, carriesData);
+        };
         // At most two tag matches per block (block + spilled entry).
-        for (const auto &[b, n] : tag_matches) {
-            if (n > 2) {
+        for (auto run = tags.begin(); run != tags.end();) {
+            const auto end =
+                std::upper_bound(run, tags.end(), *run, byBlock<Tag>);
+            if (end - run > 2) {
                 violate("tag-duplication",
-                        "block " + hex(b) + " matches " +
-                            std::to_string(n) + " LLC lines");
+                        "block " + hex(run->first) + " matches " +
+                            std::to_string(end - run) + " LLC lines");
             }
+            run = end;
         }
         // FPSS: a spilled entry co-resident with its data block must be
         // in S state (the two-tag-match critical-path invariant).
         if (zerodev && cfg.dirCachePolicy == DirCachePolicy::Fpss) {
             llc.forEach([&](const LlcLine &l) {
                 if (l.kind == LlcLineKind::SpilledDe &&
-                    llc_data.count(l.block) &&
+                    llc_has_data(l.block) &&
                     l.de.state != DirState::Shared) {
                     violate("fpss-spilled-shared",
                             "FPSS spilled entry for " + hex(l.block) +
@@ -205,7 +271,7 @@ checkInvariants(const CmpSystem &sys)
         // so an M/E holder and an LLC copy can never coexist.
         if (dls) {
             for (const auto &[block, holders] : cached) {
-                if (holders.owners > 0 && llc_data.count(block)) {
+                if (holders.owners > 0 && llc_has_data(block)) {
                     violate("dls-llc-exclusion",
                             "M/E block " + hex(block) +
                                 " still has an LLC data line");
@@ -217,7 +283,7 @@ checkInvariants(const CmpSystem &sys)
         if (cfg.llcFlavor == LlcFlavor::Inclusive) {
             for (const auto &[block, holders] : cached) {
                 (void)holders;
-                if (!llc_data.count(block)) {
+                if (!llc_has_data(block)) {
                     violate("inclusion",
                             "block " + hex(block) +
                                 " cached privately but absent from an "
@@ -229,7 +295,7 @@ checkInvariants(const CmpSystem &sys)
         // 5. EPD: an M/E-owned block is not in the LLC as a data line.
         if (cfg.llcFlavor == LlcFlavor::Epd) {
             for (const auto &[block, holders] : cached) {
-                if (holders.owners > 0 && llc_data.count(block)) {
+                if (holders.owners > 0 && llc_has_data(block)) {
                     Tracking trk = sys.peekTracking(s, block);
                     if (trk.found() &&
                         trk.where == TrackWhere::LlcFused) {
@@ -296,17 +362,18 @@ checkInvariants(const CmpSystem &sys)
     }
 
     // 7 (system-wide pass).
-    std::set<BlockAddr> recoverable;
-    for (SocketId s = 0; s < cfg.sockets; ++s) {
-        for (CoreId c = 0; c < cfg.coresPerSocket; ++c) {
-            sys.privateCache(s, c).forEachBlock(
-                [&](BlockAddr b, MesiState) { recoverable.insert(b); });
+    // A block is recoverable from any private copy or LLC data line.
+    const auto recoverable = [&](BlockAddr b) {
+        for (SocketId s = 0; s < cfg.sockets; ++s) {
+            if (holdersOf(cachedBy[s], b) ||
+                llcHolds(tagsBy[s], b, [](LlcLineKind k) {
+                    return k == LlcLineKind::Data;
+                })) {
+                return true;
+            }
         }
-        sys.llc(s).forEach([&](const LlcLine &l) {
-            if (l.kind == LlcLineKind::Data)
-                recoverable.insert(l.block);
-        });
-    }
+        return false;
+    };
     for (SocketId h = 0; h < cfg.sockets; ++h) {
         sys.memStore(h).forEachDestroyed([&](BlockAddr b) {
             if (dls) {
@@ -318,7 +385,7 @@ checkInvariants(const CmpSystem &sys)
                                    "backend"});
                 return;
             }
-            if (!recoverable.count(b)) {
+            if (!recoverable(b)) {
                 out.push_back(
                     {"corruption-safety",
                      "destroyed memory block " + hex(b) +

@@ -110,6 +110,23 @@ recoveryFlows(const ProtocolStats &p)
            p.lastCopyRestores;
 }
 
+/** The service class that completed a transaction: the first class
+ *  whose count moved across it. */
+AccessClass
+firstChangedClass(const ClassCounts &pre, const ClassCounts &post)
+{
+    for (std::size_t k = 0; k < pre.size(); ++k) {
+        if (post[k] != pre[k])
+            return static_cast<AccessClass>(k);
+    }
+    return AccessClass::NumClasses;
+}
+
+/** Records one instance runs before the next takes over (a window also
+ *  ends at every cadence point). The window buffers hold at most
+ *  kWindow values per instance. */
+constexpr std::uint64_t kWindow = 1024;
+
 } // namespace
 
 bool
@@ -157,11 +174,10 @@ DifferCheckpoint::load(const std::string &path, std::string *err)
     for (std::uint32_t i = 0; i < n && in.ok(); ++i) {
         InstanceState st;
         const std::uint64_t size = in.u64();
-        if (!in.check(in.remaining() >= size, "snapshot truncated"))
+        const std::uint8_t *image = in.raw(size); // null if truncated
+        if (!image)
             break;
-        st.system.resize(size);
-        for (std::uint64_t b = 0; b < size; ++b)
-            st.system[b] = in.u8();
+        st.system.assign(image, image + size);
         st.now = in.u64();
         const std::uint64_t poisoned = in.u64();
         for (std::uint64_t p = 0; p < poisoned && in.ok(); ++p)
@@ -206,8 +222,9 @@ Differ::Differ(std::vector<Variant> variants, DifferOptions opt)
     // are value-only: the socket-directory cache evicts on a schedule
     // that depends on LLC content, which ZeroDEV's in-LLC entries shift,
     // so remote copies are recalled at different points across variants.
-    int group = -1;
-    strictGroup_.assign(variants_.size(), -1);
+    // The first strict variant heads the group.
+    int head = -1;
+    strictHead_.assign(variants_.size(), -1);
     for (std::size_t i = 0; i < variants_.size(); ++i) {
         const SystemConfig &cfg = variants_[i].cfg;
         const bool strict = cfg.protocol == ProtocolKind::MesiZeroDev &&
@@ -217,9 +234,9 @@ Differ::Differ(std::vector<Variant> variants, DifferOptions opt)
                              cfg.dirOrg == DirOrg::ZeroDev);
         if (!strict)
             continue;
-        if (group < 0)
-            group = 0;
-        strictGroup_[i] = group;
+        if (head < 0)
+            head = static_cast<int>(i);
+        strictHead_[i] = head;
     }
 }
 
@@ -241,6 +258,29 @@ Differ::runImpl(const std::vector<TraceRecord> &stream,
                 const DifferCheckpoint *from) const
 {
     DifferResult res;
+    if (from) {
+        if (!from->valid)
+            panic("resuming the Differ from an invalid checkpoint");
+        if (from->instances.size() != variants_.size()) {
+            panic("checkpoint has %zu instances, differ has %zu",
+                  from->instances.size(), variants_.size());
+        }
+        if (from->accessIndex > stream.size()) {
+            panic("checkpoint is %llu records in, stream has only %zu",
+                  static_cast<unsigned long long>(from->accessIndex),
+                  stream.size());
+        }
+    }
+    const std::uint64_t start = from ? from->accessIndex : 0;
+
+    // Window buffers of the lockstep loop below, allocated before the
+    // instances are built. expected[k]: the oracle value of record
+    // lo+k; observed[i * width + k]: the value instance i reports for it.
+    const std::size_t width = static_cast<std::size_t>(
+        std::min<std::uint64_t>(kWindow, stream.size() - start));
+    std::vector<std::uint64_t> expected(width);
+    std::vector<std::uint64_t> observed(variants_.size() * width);
+
     std::vector<Instance> inst(variants_.size());
     for (std::size_t i = 0; i < variants_.size(); ++i) {
         inst[i].variant = &variants_[i];
@@ -250,19 +290,7 @@ Differ::runImpl(const std::vector<TraceRecord> &stream,
     // Shadow value oracle: version[b] = number of stores to b so far.
     std::unordered_map<BlockAddr, std::uint64_t> version;
 
-    std::uint64_t start = 0;
     if (from) {
-        if (!from->valid)
-            panic("resuming the Differ from an invalid checkpoint");
-        if (from->instances.size() != inst.size()) {
-            panic("checkpoint has %zu instances, differ has %zu",
-                  from->instances.size(), inst.size());
-        }
-        if (from->accessIndex > stream.size()) {
-            panic("checkpoint is %llu records in, stream has only %zu",
-                  static_cast<unsigned long long>(from->accessIndex),
-                  stream.size());
-        }
         for (std::size_t i = 0; i < inst.size(); ++i) {
             const DifferCheckpoint::InstanceState &st =
                 from->instances[i];
@@ -279,7 +307,6 @@ Differ::runImpl(const std::vector<TraceRecord> &stream,
         }
         for (const auto &[block, ver] : from->versions)
             version[block] = ver;
-        start = from->accessIndex;
     }
 
     // Snapshot of every instance + the harness state, kept one cadence
@@ -315,6 +342,8 @@ Differ::runImpl(const std::vector<TraceRecord> &stream,
 
     // One full consistency sweep: invariants on every instance, then the
     // strict-group private-cache comparison.
+    using BlockState = std::pair<BlockAddr, MesiState>;
+    std::vector<BlockState> a, b; // per-core contents, reused
     auto sweep = [&](std::uint64_t index, bool invariants,
                      bool core_state) -> bool {
         ++res.sweeps;
@@ -332,18 +361,8 @@ Differ::runImpl(const std::vector<TraceRecord> &stream,
         if (!core_state)
             return true;
         for (std::size_t i = 0; i < inst.size(); ++i) {
-            const int g = strictGroup_[i];
-            if (g < 0)
-                continue;
-            // Head of the group: the first variant with this group id.
-            std::size_t head = i;
-            for (std::size_t j = 0; j < i; ++j) {
-                if (strictGroup_[j] == g) {
-                    head = j;
-                    break;
-                }
-            }
-            if (head == i)
+            const int head = strictHead_[i];
+            if (head < 0 || static_cast<std::size_t>(head) == i)
                 continue;
             const SystemConfig &hc = variants_[head].cfg;
             const SystemConfig &ic = variants_[i].cfg;
@@ -352,8 +371,8 @@ Differ::runImpl(const std::vector<TraceRecord> &stream,
             // group the partitioning is identical, so exact MESI
             // equality is required.
             for (CoreId c = 0; c < cores_; ++c) {
-                using BlockState = std::pair<BlockAddr, MesiState>;
-                std::vector<BlockState> a, b;
+                a.clear();
+                b.clear();
                 inst[head]
                     .sys->privateCache(c / hc.coresPerSocket,
                                        c % hc.coresPerSocket)
@@ -391,113 +410,161 @@ Differ::runImpl(const std::vector<TraceRecord> &stream,
         return true;
     };
 
-    for (std::uint64_t idx = start; idx < stream.size(); ++idx) {
-        const TraceRecord &rec = stream[idx];
-        const AccessType type = rec.access.type;
-        const BlockAddr block = rec.access.block;
-        const CoreId core = rec.core;
-        if (core >= cores_) {
-            panic("stream record %llu targets core %u of %u",
-                  static_cast<unsigned long long>(idx), core, cores_);
+    // Windowed lockstep. Each window runs every instance in turn over
+    // up to kWindow records, never past the next cadence point, so an
+    // instance's working set stays in the host caches for a whole window
+    // instead of being evicted by the other instances on every record.
+    // The window is then resolved in (record, instance) order, so every
+    // verdict is the one a record-by-record lockstep finds.
+    for (std::uint64_t lo = start; lo < stream.size();) {
+        std::uint64_t hi = std::min<std::uint64_t>(stream.size(), lo + width);
+        const std::uint64_t cadences[] = {
+            opt_.invariantCadence, opt_.coreStateCadence,
+            opt_.snapshotCadence, opt_.progress ? opt_.progressCadence : 0};
+        for (const std::uint64_t c : cadences) {
+            if (c)
+                hi = std::min(hi, (lo / c + 1) * c);
         }
 
-        if (type == AccessType::Store)
-            ++version[block];
-        const std::uint64_t expected = version[block];
+        // The oracle depends on the stream alone: the value every load
+        // must observe, after the record's own store.
+        for (std::uint64_t idx = lo; idx < hi; ++idx) {
+            const TraceRecord &rec = stream[idx];
+            if (rec.core >= cores_) {
+                // Resolve the records before it first, as a record-by-
+                // record run would.
+                if (idx == lo) {
+                    panic("stream record %llu targets core %u of %u",
+                          static_cast<unsigned long long>(idx), rec.core,
+                          cores_);
+                }
+                hi = idx;
+                break;
+            }
+            std::uint64_t &ver = version[rec.access.block];
+            if (rec.access.type == AccessType::Store)
+                ++ver;
+            expected[idx - lo] = ver;
+        }
 
-        // Value every instance claims the access observed; compared
-        // across the whole set below.
-        std::vector<std::uint64_t> observed(inst.size(), expected);
-
+        // Run each instance over the window. An instance stops at its
+        // own first response or destroyed-data failure; the instances
+        // after it then stop short of that record (cap), which in
+        // lockstep they would never have reached. So the last failure
+        // recorded is the earliest in (record, instance) order.
+        std::uint64_t cap = hi;
         for (std::size_t i = 0; i < inst.size(); ++i) {
             Instance &in = inst[i];
             CmpSystem &sys = *in.sys;
             const SystemConfig &cfg = in.variant->cfg;
-            const SocketId home = sys.homeSocket(block);
-            const bool destroyedPre = sys.memStore(home).destroyed(block);
-            const std::uint64_t recoveryPre =
-                recoveryFlows(sys.protoStats());
-            const ClassCounts classPre = sys.protoStats().classCount;
+            std::uint64_t *obs = &observed[i * width];
+            for (std::uint64_t idx = lo; idx < cap; ++idx) {
+                const TraceRecord &rec = stream[idx];
+                const AccessType type = rec.access.type;
+                const BlockAddr block = rec.access.block;
+                const CoreId core = rec.core;
+                const SocketId home = sys.homeSocket(block);
+                const bool destroyedPre =
+                    sys.memStore(home).destroyed(block);
+                // Only an access to destroyed data needs its service
+                // class and recovery flows, so only it snapshots them.
+                std::uint64_t recoveryPre = 0;
+                ClassCounts classPre{};
+                if (destroyedPre) {
+                    recoveryPre = recoveryFlows(sys.protoStats());
+                    classPre = sys.protoStats().classCount;
+                }
 
-            in.now = sys.access(core, type, block,
-                                in.now + rec.access.gap);
+                in.now = sys.access(core, type, block,
+                                    in.now + rec.access.gap);
 
-            // Which service class completed the transaction?
-            const ClassCounts &classPost = sys.protoStats().classCount;
-            AccessClass cls = AccessClass::NumClasses;
-            for (std::size_t k = 0; k < classPre.size(); ++k) {
-                if (classPost[k] != classPre[k]) {
-                    cls = static_cast<AccessClass>(k);
+                // Per-access response contract: the requesting core must
+                // end up with a copy, writable after a store.
+                const MesiState st =
+                    sys.privateCache(core / cfg.coresPerSocket,
+                                     core % cfg.coresPerSocket)
+                        .state(block);
+                if (st == MesiState::Invalid) {
+                    diverge(i, idx, "response",
+                            "core " + std::to_string(core) +
+                                " has no copy of " + hex(block) +
+                                " after its own access");
+                    cap = idx;
                     break;
                 }
-            }
+                if (type == AccessType::Store && st != MesiState::Modified) {
+                    diverge(i, idx, "response",
+                            "store by core " + std::to_string(core) +
+                                " left " + hex(block) + " in state " +
+                                toString(st));
+                    cap = idx;
+                    break;
+                }
 
-            // Per-access response contract: the requesting core must end
-            // up with a copy, writable after a store.
-            const MesiState st =
-                sys.privateCache(core / cfg.coresPerSocket,
-                                 core % cfg.coresPerSocket)
-                    .state(block);
-            if (st == MesiState::Invalid) {
-                diverge(i, idx, "response",
-                        "core " + std::to_string(core) +
-                            " has no copy of " + hex(block) +
-                            " after its own access");
-                return finish(res, idx + 1);
-            }
-            if (type == AccessType::Store && st != MesiState::Modified) {
-                diverge(i, idx, "response",
-                        "store by core " + std::to_string(core) +
-                            " left " + hex(block) + " in state " +
-                            toString(st));
-                return finish(res, idx + 1);
-            }
+                // Destroyed-data safety: a transaction that touched a
+                // block whose memory image is destroyed must either hit
+                // a cached copy or run one of the corrupted-recovery
+                // flows. Serving it straight from DRAM returns
+                // directory-entry bits as data.
+                if (destroyedPre &&
+                    firstChangedClass(classPre,
+                                      sys.protoStats().classCount) ==
+                        AccessClass::Memory &&
+                    recoveryFlows(sys.protoStats()) == recoveryPre) {
+                    in.poisoned.insert(block);
+                    diverge(i, idx, "destroyed-data",
+                            "access to " + hex(block) +
+                                " served from destroyed memory without a "
+                                "recovery flow");
+                    cap = idx;
+                    break;
+                }
 
-            // Destroyed-data safety: a transaction that touched a block
-            // whose memory image is destroyed must either hit a cached
-            // copy or run one of the corrupted-recovery flows. Serving
-            // it straight from DRAM returns directory-entry bits as
-            // data.
-            if (destroyedPre && cls == AccessClass::Memory &&
-                recoveryFlows(sys.protoStats()) == recoveryPre) {
-                in.poisoned.insert(block);
-                diverge(i, idx, "destroyed-data",
-                        "access to " + hex(block) +
-                            " served from destroyed memory without a "
-                            "recovery flow");
-                return finish(res, idx + 1);
-            }
-
-            if (in.poisoned.count(block))
-                observed[i] = poisonValue(block);
-            if (hook_.enabled && i == hook_.instance &&
-                type == AccessType::Load && block == hook_.block &&
-                version[block] >= hook_.afterStores) {
-                observed[i] = expected + 1;
+                const std::uint64_t want = expected[idx - lo];
+                std::uint64_t value = want;
+                if (!in.poisoned.empty() && in.poisoned.count(block))
+                    value = poisonValue(block);
+                if (hook_.enabled && i == hook_.instance &&
+                    type == AccessType::Load && block == hook_.block &&
+                    want >= hook_.afterStores) {
+                    value = want + 1;
+                }
+                obs[idx - lo] = value;
             }
         }
 
-        // The architectural-invisibility oracle: every instance observed
-        // the same value for this access.
-        for (std::size_t i = 1; i < inst.size(); ++i) {
-            if (observed[i] != observed[0]) {
+        // Resolve the window in lockstep order. The architectural-
+        // invisibility oracle: every instance observed the same value
+        // for each access all of them executed. A mismatch there comes
+        // before any failure recorded above.
+        for (std::uint64_t idx = lo; idx < cap; ++idx) {
+            const std::size_t k = idx - lo;
+            const std::uint64_t first = observed[k];
+            for (std::size_t i = 1; i < inst.size(); ++i) {
+                const std::uint64_t value = observed[i * width + k];
+                if (value == first)
+                    continue;
+                const TraceRecord &rec = stream[idx];
                 diverge(i, idx, "load-value",
-                        toString(type) + std::string(" of ") +
-                            hex(block) + " by core " +
-                            std::to_string(core) + " observed value " +
-                            std::to_string(observed[i]) + ", " +
+                        toString(rec.access.type) + std::string(" of ") +
+                            hex(rec.access.block) + " by core " +
+                            std::to_string(rec.core) + " observed value " +
+                            std::to_string(value) + ", " +
                             variants_[0].name + " observed " +
-                            std::to_string(observed[0]));
+                            std::to_string(first));
                 return finish(res, idx + 1);
             }
         }
+        if (res.divergence.found)
+            return finish(res, cap + 1);
 
-        const std::uint64_t done = idx + 1;
+        // Only the window's last record can be a cadence point.
+        const std::uint64_t done = hi;
         const bool inv = opt_.invariantCadence &&
                          done % opt_.invariantCadence == 0;
         const bool cst = opt_.coreStateCadence &&
                          done % opt_.coreStateCadence == 0;
-        if ((inv || cst) && !sweep(idx, inv, cst))
+        if ((inv || cst) && !sweep(done - 1, inv, cst))
             return finish(res, done);
         if (opt_.snapshotCadence && done % opt_.snapshotCadence == 0)
             capture(done);
@@ -505,7 +572,9 @@ Differ::runImpl(const std::vector<TraceRecord> &stream,
             done % opt_.progressCadence == 0) {
             opt_.progress(done);
         }
+        lo = hi;
     }
+
     if (opt_.progress)
         opt_.progress(stream.size());
 
@@ -517,25 +586,28 @@ Differ::runImpl(const std::vector<TraceRecord> &stream,
     // private cache, an LLC data line, or an intact memory copy — and
     // none may have poisoned it.
     if (opt_.finalImage) {
+        std::vector<BlockAddr> retrievable; // sorted, per instance
         for (std::size_t i = 0; i < inst.size(); ++i) {
             const CmpSystem &sys = *inst[i].sys;
             const SystemConfig &cfg = inst[i].variant->cfg;
-            std::unordered_set<BlockAddr> retrievable;
+            const std::unordered_set<BlockAddr> &poisoned = inst[i].poisoned;
+            retrievable.clear();
             for (SocketId s = 0; s < cfg.sockets; ++s) {
                 for (CoreId c = 0; c < cfg.coresPerSocket; ++c) {
                     sys.privateCache(s, c).forEachBlock(
                         [&](BlockAddr b, MesiState) {
-                            retrievable.insert(b);
+                            retrievable.push_back(b);
                         });
                 }
                 sys.llc(s).forEach([&](const LlcLine &l) {
                     if (l.kind == LlcLineKind::Data)
-                        retrievable.insert(l.block);
+                        retrievable.push_back(l.block);
                 });
             }
+            std::sort(retrievable.begin(), retrievable.end());
             for (const auto &[block, ver] : version) {
                 (void)ver;
-                if (inst[i].poisoned.count(block)) {
+                if (!poisoned.empty() && poisoned.count(block)) {
                     diverge(i, stream.size(), "final-image",
                             "block " + hex(block) +
                                 " ends the run poisoned");
@@ -543,7 +615,8 @@ Differ::runImpl(const std::vector<TraceRecord> &stream,
                 }
                 const SocketId home = sys.homeSocket(block);
                 if (sys.memStore(home).destroyed(block) &&
-                    !retrievable.count(block)) {
+                    !std::binary_search(retrievable.begin(),
+                                        retrievable.end(), block)) {
                     diverge(i, stream.size(), "final-image",
                             "block " + hex(block) +
                                 " is destroyed in memory with no "

@@ -160,7 +160,10 @@ class Differ
 
     /** Execute @p stream on every variant; stops at the first
      *  divergence. Core ids in the stream must be < the variants'
-     *  common total core count. */
+     *  common total core count. Instances take turns over windows of
+     *  up to 1024 records that end at every cadence point; the verdict
+     *  is the one a record-by-record lockstep reaches (see
+     *  docs/VERIFICATION.md). */
     DifferResult run(const std::vector<TraceRecord> &stream) const;
 
     /** Fast-forward: restore every instance from @p from and execute
@@ -201,10 +204,11 @@ class Differ
     DifferOptions opt_;
     FaultHook hook_;
     std::uint32_t cores_ = 0;
-    /** Strict-equivalence group of each variant (-1 = value-only).
-     *  Members of one group must match the group head's private-cache
-     *  contents exactly (the paper's core-cache-isolation claim). */
-    std::vector<int> strictGroup_;
+    /** Index of the head of each variant's strict-equivalence group
+     *  (-1 = value-only; a head maps to itself). Members of the group
+     *  must match the head's private-cache contents exactly (the
+     *  paper's core-cache-isolation claim). */
+    std::vector<int> strictHead_;
 };
 
 /**

@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bitset>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -68,6 +69,57 @@ writeBytes(const std::string &path, const std::vector<std::uint8_t> &b)
         return false;
     const bool ok = std::fwrite(b.data(), 1, b.size(), f) == b.size();
     return std::fclose(f) == 0 && ok;
+}
+
+// The codec's wire format: fixed-width little-endian fields, bitsets as
+// ceil(N/64) u64 words. The golden snapshot depends on these bytes.
+TEST(SerialCodec, LittleEndianWordLayout)
+{
+    SerialOut out;
+    out.u8(0xab);
+    out.u16(0x0102);
+    out.u32(0x03040506);
+    out.u64(0x0708090a0b0c0d0eull);
+    std::bitset<8> narrow;
+    narrow.set(0).set(7);
+    out.bits(narrow);
+    std::bitset<128> wide;
+    wide.set(0).set(63).set(64).set(127);
+    out.bits(wide);
+    const std::vector<std::uint8_t> want = {
+        0xab, 0x02, 0x01, 0x06, 0x05, 0x04, 0x03, 0x0e, 0x0d, 0x0c, 0x0b,
+        0x0a, 0x09, 0x08, 0x07, 0x81, 0,    0,    0,    0,    0,    0,
+        0,    0x01, 0,    0,    0,    0,    0,    0,    0x80, 0x01, 0,
+        0,    0,    0,    0,    0,    0x80};
+    EXPECT_EQ(out.data(), want);
+
+    SerialIn in(out.data());
+    EXPECT_EQ(in.u8(), 0xab);
+    EXPECT_EQ(in.u16(), 0x0102);
+    EXPECT_EQ(in.u32(), 0x03040506u);
+    EXPECT_EQ(in.u64(), 0x0708090a0b0c0d0eull);
+    EXPECT_EQ(in.bits<8>(), narrow);
+    EXPECT_EQ(in.bits<128>(), wide);
+    EXPECT_TRUE(in.exhausted());
+}
+
+TEST(SerialCodec, TruncatedReadsFailStickily)
+{
+    const std::vector<std::uint8_t> bytes = {1, 2, 3, 4, 5, 6};
+    SerialIn in(bytes);
+    EXPECT_EQ(in.u32(), 0x04030201u);
+    EXPECT_EQ(in.u64(), 0u); // two bytes left
+    EXPECT_FALSE(in.ok());
+    EXPECT_EQ(in.error(), "snapshot truncated");
+    EXPECT_EQ(in.u8(), 0u); // sticky
+
+    SerialIn span(bytes);
+    const std::uint8_t *p = span.raw(4);
+    ASSERT_NE(p, nullptr);
+    EXPECT_EQ(p[3], 4);
+    EXPECT_EQ(span.remaining(), 2u);
+    EXPECT_EQ(span.raw(3), nullptr);
+    EXPECT_FALSE(span.ok());
 }
 
 TEST(SnapshotRoundTrip, ByteIdenticalAcrossTheStandardCrossProduct)
