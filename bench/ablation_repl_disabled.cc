@@ -44,9 +44,9 @@ main()
         const double k =
             static_cast<double>(test.system.get("accesses")) / 1000.0;
         const double refusals =
-            sys.sparseDir(0) ? static_cast<double>(
-                                   sys.sparseDir(0)->stats().refusals)
-                             : 0.0;
+            sys.dirOrg(0) ? static_cast<double>(
+                                sys.dirOrg(0)->orgStats().refusals)
+                          : 0.0;
         const double de_allocs =
             static_cast<double>(sys.llc(0).stats().spillAllocs +
                                 sys.llc(0).stats().fuseOps);

@@ -25,10 +25,9 @@ whereName(TrackWhere w)
 {
     switch (w) {
       case TrackWhere::None: return "none (home memory or untracked)";
-      case TrackWhere::SparseDir: return "sparse directory";
       case TrackWhere::LlcSpilled: return "LLC (spilled line)";
       case TrackWhere::LlcFused: return "LLC (fused into the block)";
-      case TrackWhere::Org: return "baseline organisation";
+      case TrackWhere::Org: return "sparse directory";
     }
     return "?";
 }

@@ -63,8 +63,8 @@ DlsBackend::invalidateOthers(CmpSystem::Socket &s, CoreId c,
         const MesiState prev = s.cores[x].invalidate(block, false);
         if (prev == MesiState::Invalid)
             continue;
-        CmpSystem::send(s, MsgType::Inv, block);
-        CmpSystem::send(s, MsgType::InvAck, block);
+        CmpSystem::send(s, MsgType::Inv);
+        CmpSystem::send(s, MsgType::InvAck);
         const Cycle ack = base + sys_.meshBankToCore(s, block, x) +
                           sys_.meshCoreToCore(s, x, c);
         done = std::max(done, ack);
@@ -82,8 +82,7 @@ DlsBackend::miss(SocketId sid, CoreId c, AccessType type, BlockAddr block,
     const Cycle to_bank = sys_.meshCoreToBank(s, c, block);
     Cycle base = now + lookup + to_bank;
     CmpSystem::send(s, type == AccessType::Store ? MsgType::GetX
-                                                 : MsgType::GetS,
-                    block);
+                                                 : MsgType::GetS);
     base += s.llc.tagCycles();
 
     LlcProbe probe = s.llc.probe(block);
@@ -99,7 +98,7 @@ DlsBackend::miss(SocketId sid, CoreId c, AccessType type, BlockAddr block,
             s.llc.noteDataRead();
             s.llc.touchData(probe);
             ++sys_.proto_.twoHopReads;
-            CmpSystem::send(s, MsgType::DataResp, block);
+            CmpSystem::send(s, MsgType::DataResp);
             const Cycle lat =
                 base + s.llc.dataCycles() + sys_.meshBankToCore(s, block, c);
             sys_.fillCore(s, c, type, block, MesiState::Shared, now);
@@ -115,8 +114,8 @@ DlsBackend::miss(SocketId sid, CoreId c, AccessType type, BlockAddr block,
             // data refills the LLC.
             ++sys_.proto_.threeHopReads;
             ++snoopSupplies_;
-            CmpSystem::send(s, MsgType::FwdGetS, block);
-            CmpSystem::send(s, MsgType::DataResp, block);
+            CmpSystem::send(s, MsgType::FwdGetS);
+            CmpSystem::send(s, MsgType::DataResp);
             const Cycle lat = base + sys_.meshBankToCore(s, block, holder) +
                               s.cores[holder].l2Cycles() +
                               sys_.meshCoreToCore(s, holder, c);
@@ -130,8 +129,8 @@ DlsBackend::miss(SocketId sid, CoreId c, AccessType type, BlockAddr block,
         }
         // Memory fill; nothing on chip holds the block.
         ++sys_.proto_.socketMisses;
-        CmpSystem::send(s, MsgType::MemRead, block);
-        CmpSystem::send(s, MsgType::MemReadResp, block);
+        CmpSystem::send(s, MsgType::MemRead);
+        CmpSystem::send(s, MsgType::MemReadResp);
         const Cycle mem_done = s.dram.read(block, base, false);
         const Cycle lat = mem_done + sys_.meshBankToCore(s, block, c);
         sys_.llcAllocData(s, block, false, now, true);
@@ -151,7 +150,7 @@ DlsBackend::miss(SocketId sid, CoreId c, AccessType type, BlockAddr block,
     if (data) {
         s.llc.noteDataHit();
         s.llc.noteDataRead();
-        CmpSystem::send(s, MsgType::DataResp, block);
+        CmpSystem::send(s, MsgType::DataResp);
         data_ready =
             base + s.llc.dataCycles() + sys_.meshBankToCore(s, block, c);
         s.llc.invalidateLine(*data);
@@ -159,8 +158,8 @@ DlsBackend::miss(SocketId sid, CoreId c, AccessType type, BlockAddr block,
         s.llc.noteDataMiss();
         ++sys_.proto_.threeHopReads;
         ++snoopSupplies_;
-        CmpSystem::send(s, MsgType::FwdGetX, block);
-        CmpSystem::send(s, MsgType::DataResp, block);
+        CmpSystem::send(s, MsgType::FwdGetX);
+        CmpSystem::send(s, MsgType::DataResp);
         // The holder's data rides with its acknowledgment.
         data_ready = base + sys_.meshBankToCore(s, block, holder) +
                      s.cores[holder].l2Cycles() +
@@ -169,8 +168,8 @@ DlsBackend::miss(SocketId sid, CoreId c, AccessType type, BlockAddr block,
         s.llc.noteDataMiss();
         ++sys_.proto_.socketMisses;
         memory_fill = true;
-        CmpSystem::send(s, MsgType::MemRead, block);
-        CmpSystem::send(s, MsgType::MemReadResp, block);
+        CmpSystem::send(s, MsgType::MemRead);
+        CmpSystem::send(s, MsgType::MemReadResp);
         const Cycle mem_done = s.dram.read(block, base, false);
         data_ready = mem_done + sys_.meshBankToCore(s, block, c);
     }
@@ -190,7 +189,7 @@ DlsBackend::upgrade(SocketId sid, CoreId c, BlockAddr block, Cycle now)
     const Cycle lookup = pc.l1Cycles() + pc.l2Cycles();
     const Cycle to_bank = sys_.meshCoreToBank(s, c, block);
     Cycle base = now + lookup + to_bank + s.llc.tagCycles();
-    CmpSystem::send(s, MsgType::Upgrade, block);
+    CmpSystem::send(s, MsgType::Upgrade);
 
     const Cycle inv_done = invalidateOthers(s, c, block, base);
 
@@ -199,7 +198,7 @@ DlsBackend::upgrade(SocketId sid, CoreId c, BlockAddr block, Cycle now)
     if (probe.data && probe.data->kind == LlcLineKind::Data)
         s.llc.invalidateLine(*probe.data);
 
-    CmpSystem::send(s, MsgType::AckResp, block);
+    CmpSystem::send(s, MsgType::AckResp);
     const Cycle lat =
         std::max(base + sys_.meshBankToCore(s, block, c), inv_done);
     pc.upgradeToModified(block);
@@ -214,13 +213,13 @@ DlsBackend::privateEviction(SocketId sid, CoreId c,
     (void)c;
     switch (ev.state) {
       case MesiState::Modified:
-        CmpSystem::send(s, MsgType::PutM, ev.block);
+        CmpSystem::send(s, MsgType::PutM);
         sys_.llcWritebackData(s, ev.block, true, now);
         break;
       case MesiState::Exclusive:
         // Defensive: DLS fills only S and M, but a clean owner victim
         // still lands in the LLC.
-        CmpSystem::send(s, MsgType::PutE, ev.block);
+        CmpSystem::send(s, MsgType::PutE);
         sys_.llcWritebackData(s, ev.block, false, now);
         break;
       default:

@@ -32,7 +32,7 @@ CmpSystem::handleMiss(Socket &s, CoreId c, AccessType type,
     ZDEV_LAT(lat_, obs::LatComp::CoreLookup, lookup);
     ZDEV_LAT(lat_, obs::LatComp::Mesh, to_bank);
     send(s, type == AccessType::Store ? MsgType::GetX
-                                               : MsgType::GetS, block);
+                                               : MsgType::GetS);
     base += s.llc.tagCycles();
     ZDEV_LAT(lat_, obs::LatComp::DirLookup, s.llc.tagCycles());
 
@@ -57,7 +57,7 @@ CmpSystem::handleMiss(Socket &s, CoreId c, AccessType type,
         Cycle lat = base + s.llc.dataCycles() + back;
         ZDEV_LAT(lat_, obs::LatComp::LlcData, s.llc.dataCycles());
         ZDEV_LAT(lat_, obs::LatComp::Mesh, back);
-        send(s, MsgType::DataResp, block);
+        send(s, MsgType::DataResp);
         ++proto_.twoHopReads;
 
         MesiState fill;
@@ -107,7 +107,7 @@ CmpSystem::handleUpgrade(Socket &s, CoreId c, BlockAddr block, Cycle now)
     Cycle base = now + lookup + to_bank;
     ZDEV_LAT(lat_, obs::LatComp::CoreLookup, lookup);
     ZDEV_LAT(lat_, obs::LatComp::Mesh, to_bank);
-    send(s, MsgType::Upgrade, block);
+    send(s, MsgType::Upgrade);
     base += s.llc.tagCycles();
     ZDEV_LAT(lat_, obs::LatComp::DirLookup, s.llc.tagCycles());
 
@@ -122,14 +122,14 @@ CmpSystem::handleUpgrade(Socket &s, CoreId c, BlockAddr block, Cycle now)
             mem_base += cfg_.interSocketCycles;
             ZDEV_LAT(lat_, obs::LatComp::InterSocket,
                      cfg_.interSocketCycles);
-            send(s, MsgType::GetDe, block);
+            send(s, MsgType::GetDe);
         }
         auto entry = extractEntryFromMemory(s, block, mem_base);
         if (!entry)
             panic("upgrade with no directory entry anywhere for block "
                   "%#llx", static_cast<unsigned long long>(block));
         ++proto_.corruptedResponses;
-        send(h, MsgType::DataRespCorrupted, block);
+        send(h, MsgType::DataRespCorrupted);
         base = h.dram.read(block, mem_base, true) + 1; // +1: extraction
         ZDEV_LAT(lat_, obs::LatComp::DeMemory, base - mem_base);
         if (h.id != s.id) {
@@ -161,13 +161,13 @@ CmpSystem::handleUpgrade(Socket &s, CoreId c, BlockAddr block, Cycle now)
         if (x == c)
             return;
         s.cores[x].invalidate(block, false);
-        send(s, MsgType::Inv, block);
-        send(s, MsgType::InvAck, block);
+        send(s, MsgType::Inv);
+        send(s, MsgType::InvAck);
         inv_done = std::max(inv_done,
                             base + meshBankToCore(s, block, x) +
                                 meshCoreToCore(s, x, c));
     });
-    send(s, MsgType::AckResp, block);
+    send(s, MsgType::AckResp);
     const Cycle back = meshBankToCore(s, block, c);
     ZDEV_LAT(lat_, obs::LatComp::Mesh, back);
     Cycle lat = std::max(base + back, inv_done);
@@ -213,9 +213,9 @@ CmpSystem::serveTracked(Socket &s, CoreId c, AccessType type,
                    o, txn_);
 
         if (type == AccessType::Store) {
-            send(s, MsgType::FwdGetX, block);
-            send(s, MsgType::DataResp, block);
-            send(s, MsgType::BusyClear, block);
+            send(s, MsgType::FwdGetX);
+            send(s, MsgType::DataResp);
+            send(s, MsgType::BusyClear);
             s.cores[o].invalidate(block, false);
             entry.makeOwned(c);
             if (cfg_.sockets > 1 && llc_global_shared) {
@@ -228,14 +228,14 @@ CmpSystem::serveTracked(Socket &s, CoreId c, AccessType type,
             fillCore(s, c, type, block, MesiState::Modified, now);
         } else {
             ++proto_.threeHopReads;
-            send(s, MsgType::FwdGetS, block);
-            send(s, MsgType::DataResp, block);
+            send(s, MsgType::FwdGetS);
+            send(s, MsgType::DataResp);
             // The busy-clear carries reconstruction bits when the entry
             // is fused in the LLC and must be spilled on the M/E -> S
             // transition (Section III-C2).
             send(s, trk.where == TrackWhere::LlcFused
                                  ? MsgType::BusyClearBits
-                                 : MsgType::BusyClear, block);
+                                 : MsgType::BusyClear);
             const MesiState prev = s.cores[o].downgrade(block);
             entry.addSharer(c);
             sharingDegree_.record(entry.count());
@@ -276,14 +276,14 @@ CmpSystem::serveTracked(Socket &s, CoreId c, AccessType type,
             const Cycle back = meshBankToCore(s, block, c);
             ZDEV_LAT(lat_, obs::LatComp::Mesh, back);
             data_ready = base + read + back;
-            send(s, MsgType::DataResp, block);
+            send(s, MsgType::DataResp);
         } else {
             // No usable data in the LLC (absent, or corrupted by a
             // FuseAll fusion): combine the forward with the invalidation
             // of an elected sharer (Section III-C3).
             const CoreId x = entry.anySharer();
-            send(s, MsgType::FwdGetX, block);
-            send(s, MsgType::DataResp, block);
+            send(s, MsgType::FwdGetX);
+            send(s, MsgType::DataResp);
             const Cycle fwd = meshBankToCore(s, block, x);
             const Cycle resp = meshCoreToCore(s, x, c);
             ZDEV_LAT(lat_, obs::LatComp::Mesh, fwd + resp);
@@ -294,8 +294,8 @@ CmpSystem::serveTracked(Socket &s, CoreId c, AccessType type,
         Cycle inv_done = base;
         forEachSetBit(entry.sharers, [&](CoreId x) {
             s.cores[x].invalidate(block, false);
-            send(s, MsgType::Inv, block);
-            send(s, MsgType::InvAck, block);
+            send(s, MsgType::Inv);
+            send(s, MsgType::InvAck);
             inv_done = std::max(inv_done,
                                 base + meshBankToCore(s, block, x) +
                                     meshCoreToCore(s, x, c));
@@ -334,7 +334,7 @@ CmpSystem::serveTracked(Socket &s, CoreId c, AccessType type,
         const Cycle back = meshBankToCore(s, block, c);
         ZDEV_LAT(lat_, obs::LatComp::Mesh, back);
         lat = base + read + back;
-        send(s, MsgType::DataResp, block);
+        send(s, MsgType::DataResp);
         if (trk.where == TrackWhere::LlcSpilled ||
             trk.where == TrackWhere::LlcFused) {
             s.llc.noteDeUpdate(); // sharer added off the critical path
@@ -345,9 +345,9 @@ CmpSystem::serveTracked(Socket &s, CoreId c, AccessType type,
         // becomes three hops (Section III-C3).
         const CoreId x = entry.anySharer();
         ++proto_.threeHopReads;
-        send(s, MsgType::FwdGetS, block);
-        send(s, MsgType::DataResp, block);
-        send(s, MsgType::BusyClear, block);
+        send(s, MsgType::FwdGetS);
+        send(s, MsgType::DataResp);
+        send(s, MsgType::BusyClear);
         const Cycle fwd = meshBankToCore(s, block, x);
         const Cycle resp = meshCoreToCore(s, x, c);
         ZDEV_LAT(lat_, obs::LatComp::Mesh, fwd + resp);
@@ -393,8 +393,8 @@ CmpSystem::serveSocketMiss(Socket &s, CoreId c, AccessType type,
         ++proto_.corruptedResponses;
         const Cycle mem_done = h.dram.read(block, base, true) + 1;
         ZDEV_LAT(lat_, obs::LatComp::DeMemory, mem_done - base);
-        send(s, MsgType::MemRead, block);
-        send(s, MsgType::DataRespCorrupted, block);
+        send(s, MsgType::MemRead);
+        send(s, MsgType::DataRespCorrupted);
         Tracking trk;
         trk.where = TrackWhere::None;
         trk.entry = *entry;
@@ -404,8 +404,8 @@ CmpSystem::serveSocketMiss(Socket &s, CoreId c, AccessType type,
             serveTracked(s, c, type, block, now, trk, probe, mem_done));
     }
 
-    send(s, MsgType::MemRead, block);
-    send(s, MsgType::MemReadResp, block);
+    send(s, MsgType::MemRead);
+    send(s, MsgType::MemReadResp);
     const Cycle mem_done = h.dram.read(block, base, false);
     ZDEV_TRACE(trc_, obs::TraceEventKind::MemRead, obs::TraceComp::Memory,
                h.id, c, block, base, mem_done - base, 0, txn_);
@@ -507,8 +507,8 @@ CmpSystem::applyInvalidation(Socket &s, const Invalidation &inv, Cycle now)
         if (prev == MesiState::Invalid)
             return;
         noteDevInvalidation();
-        send(s, MsgType::Inv, inv.block);
-        send(s, MsgType::InvAck, inv.block);
+        send(s, MsgType::Inv);
+        send(s, MsgType::InvAck);
         if (prev == MesiState::Modified || prev == MesiState::Exclusive)
             ++proto_.devOwnedInvalidations;
         if (prev == MesiState::Modified)
@@ -518,7 +518,7 @@ CmpSystem::applyInvalidation(Socket &s, const Invalidation &inv, Cycle now)
         // The dirty block comes back with the DEV and lands in the LLC —
         // the effect that lets later requests be served from the LLC
         // (the freqmine observation in Section I-A1).
-        send(s, MsgType::PutM, inv.block);
+        send(s, MsgType::PutM);
         llcWritebackData(s, inv.block, true, now);
     }
     if (cfg_.sockets > 1) {

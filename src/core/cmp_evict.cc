@@ -40,19 +40,19 @@ CmpSystem::handlePrivateEviction(Socket &s, CoreId c,
     // FuseAll retrieves the low bits from the last sharer with a special
     // acknowledgment (Section III-C3).
     if (st == MesiState::Modified) {
-        send(s, MsgType::PutM, block);
+        send(s, MsgType::PutM);
     } else if (st == MesiState::Exclusive) {
         send(s, trk.where == TrackWhere::LlcFused
                              ? MsgType::PutEBits
-                             : MsgType::PutE, block);
-        send(s, MsgType::EvictAck, block);
+                             : MsgType::PutE);
+        send(s, MsgType::EvictAck);
     } else {
-        send(s, MsgType::PutS, block);
+        send(s, MsgType::PutS);
         if (!entry.live() && trk.where == TrackWhere::LlcFused &&
             cfg_.dirCachePolicy == DirCachePolicy::FuseAll) {
-            send(s, MsgType::EvictAckFetchBits, block);
+            send(s, MsgType::EvictAckFetchBits);
         } else {
-            send(s, MsgType::EvictAck, block);
+            send(s, MsgType::EvictAck);
         }
     }
 
@@ -88,9 +88,9 @@ CmpSystem::evictionWithoutEntry(Socket &s, CoreId c, BlockAddr block,
         // in the socket must come from the system-wide owner; execute
         // the baseline writeback-to-home flow. The full-block write also
         // restores the destroyed memory data.
-        send(s, MsgType::PutM, block);
+        send(s, MsgType::PutM);
         h.dram.write(block, t, false);
-        send(h, MsgType::MemWrite, block);
+        send(h, MsgType::MemWrite);
         h.memStore.clearSegment(block, s.id);
         if (h.memStore.destroyed(block)) {
             h.memStore.restoreData(block);
@@ -106,7 +106,7 @@ CmpSystem::evictionWithoutEntry(Socket &s, CoreId c, BlockAddr block,
     ++proto_.getDeFlows;
     ZDEV_TRACE(trc_, obs::TraceEventKind::GetDe, obs::TraceComp::Memory,
                s.id, c, block, t, 0, 0, txn_);
-    send(s, MsgType::GetDe, block);
+    send(s, MsgType::GetDe);
     auto entry = extractEntryFromMemory(s, block, t);
     if (!entry) {
         panic("eviction notice for block %#llx found no directory entry "
@@ -117,7 +117,7 @@ CmpSystem::evictionWithoutEntry(Socket &s, CoreId c, BlockAddr block,
     // GET_DE runs behind the eviction notice, off the requester's
     // critical path: account it as background entry-memory work.
     ZDEV_LAT_OFFPATH(lat_, obs::LatComp::DeMemory, t - de_start);
-    send(h, MsgType::DeResp, block);
+    send(h, MsgType::DeResp);
     if (!entry->isSharer(c))
         panic("GET_DE entry does not track the evicting core");
     entry->removeSharer(c);
@@ -125,9 +125,9 @@ CmpSystem::evictionWithoutEntry(Socket &s, CoreId c, BlockAddr block,
     if (entry->live()) {
         // Other cores in this socket still cache the block: write the
         // updated entry back into the memory segment.
-        send(s, MsgType::PutDe, block);
+        send(s, MsgType::PutDe);
         h.dram.write(block, t, true);
-        send(h, MsgType::MemWrite, block);
+        send(h, MsgType::MemWrite);
         h.memStore.storeSegment(block, s.id, *entry);
         return;
     }
@@ -155,9 +155,9 @@ CmpSystem::lastCopyInSocketGone(Socket &s, BlockAddr block, MesiState st,
             // System-wide last copy of a destroyed block: the block is
             // retrieved from the evicting core and overwrites the
             // corrupted memory block (Section III-D4).
-            send(s, MsgType::DataResp, block);
+            send(s, MsgType::DataResp);
             h.dram.write(block, now, true);
-            send(h, MsgType::MemWrite, block);
+            send(h, MsgType::MemWrite);
             h.memStore.clearBlock(block);
             h.memStore.restoreData(block);
             ++proto_.lastCopyRestores;
@@ -189,10 +189,10 @@ CmpSystem::handleLlcVictim(Socket &s, const LlcVictim &victim, Cycle now)
             Cycle t = now;
             if (h.id != s.id) {
                 t += cfg_.interSocketCycles;
-                send(s, MsgType::MemWrite, block);
+                send(s, MsgType::MemWrite);
             }
             h.dram.write(block, t, false);
-            send(h, MsgType::MemWrite, block);
+            send(h, MsgType::MemWrite);
             if (h.memStore.destroyed(block)) {
                 h.memStore.clearBlock(block);
                 h.memStore.restoreData(block);
@@ -211,7 +211,7 @@ CmpSystem::handleLlcVictim(Socket &s, const LlcVictim &victim, Cycle now)
             Tracking trk = peekTrackingCounted(s, block);
             if (!trk.found() && !h.memStore.hasSegment(block, s.id)) {
                 h.dram.write(block, now, true);
-                send(h, MsgType::MemWrite, block);
+                send(h, MsgType::MemWrite);
                 h.memStore.clearBlock(block);
                 h.memStore.restoreData(block);
                 ++proto_.lastCopyRestores;
@@ -232,11 +232,11 @@ CmpSystem::handleLlcVictim(Socket &s, const LlcVictim &victim, Cycle now)
             const MesiState prev = s.cores[x].invalidate(block, false);
             if (prev != MesiState::Invalid) {
                 noteInclusionInvalidation();
-                send(s, MsgType::Inv, block);
-                send(s, MsgType::InvAck, block);
+                send(s, MsgType::Inv);
+                send(s, MsgType::InvAck);
                 if (prev == MesiState::Modified) {
                     h.dram.write(block, now, false);
-                    send(h, MsgType::MemWrite, block);
+                    send(h, MsgType::MemWrite);
                     h.memStore.restoreData(block);
                 }
             }
@@ -257,7 +257,7 @@ CmpSystem::handleLlcVictim(Socket &s, const LlcVictim &victim, Cycle now)
             s.llc.invalidateLine(*probe.data);
             if (dirty) {
                 h.dram.write(block, now, false);
-                send(h, MsgType::MemWrite, block);
+                send(h, MsgType::MemWrite);
                 h.memStore.restoreData(block);
             }
         }
@@ -277,8 +277,8 @@ CmpSystem::inclusionInvalidate(Socket &s, BlockAddr block, Cycle now)
         const MesiState prev = s.cores[x].invalidate(block, false);
         if (prev != MesiState::Invalid) {
             noteInclusionInvalidation();
-            send(s, MsgType::Inv, block);
-            send(s, MsgType::InvAck, block);
+            send(s, MsgType::Inv);
+            send(s, MsgType::InvAck);
             if (prev == MesiState::Modified)
                 dirty = true;
         }
@@ -286,7 +286,7 @@ CmpSystem::inclusionInvalidate(Socket &s, BlockAddr block, Cycle now)
     if (dirty) {
         Socket &h = home(block);
         h.dram.write(block, now, false);
-        send(h, MsgType::MemWrite, block);
+        send(h, MsgType::MemWrite);
         h.memStore.restoreData(block);
     }
     DirEntry dead;

@@ -1,7 +1,7 @@
 /**
  * @file
  * CmpSystem state serialization: the "System" payload of a
- * zerodev-snapshot-v1 container (sim/snapshot.hh). The stream is guarded
+ * zerodev-snapshot-v2 container (sim/snapshot.hh). The stream is guarded
  * by the config fingerprint — geometry is never serialized redundantly;
  * a restore target must be constructed from the identical SystemConfig,
  * and every component then checks its own derived geometry as a backstop.
@@ -93,9 +93,6 @@ CmpSystem::saveState(SerialOut &out) const
         for (const PrivateCache &core : sock->cores)
             core.save(out);
         sock->llc.save(out);
-        out.b(sock->sparseDir != nullptr);
-        if (sock->sparseDir)
-            sock->sparseDir->save(out);
         out.b(sock->dirOrg != nullptr);
         if (sock->dirOrg)
             sock->dirOrg->save(out);
@@ -131,11 +128,6 @@ CmpSystem::restoreState(SerialIn &in)
         for (PrivateCache &core : sock->cores)
             core.restore(in);
         sock->llc.restore(in);
-        if (!in.check(in.b() == (sock->sparseDir != nullptr),
-                      "sparse directory presence mismatch"))
-            return;
-        if (sock->sparseDir)
-            sock->sparseDir->restore(in);
         if (!in.check(in.b() == (sock->dirOrg != nullptr),
                       "directory organisation presence mismatch"))
             return;

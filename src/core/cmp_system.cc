@@ -33,7 +33,6 @@ CmpSystem::CmpSystem(const SystemConfig &cfg) : cfg_(cfg)
     sockets_.reserve(cfg_.sockets);
     for (SocketId s = 0; s < cfg_.sockets; ++s) {
         auto sock = std::make_unique<Socket>(cfg_, s);
-        sock->sparseDir = buildSparseDir();
         sock->dirOrg = buildDirOrg();
         if (cfg_.sockets > 1) {
             sock->socketDir = std::make_unique<SocketDirectory>(
@@ -89,21 +88,6 @@ CmpSystem::noteInclusionInvalidation()
     ZDEV_METRIC_ADD(inclInducerMetrics_[txnCore_], 1);
 }
 
-std::unique_ptr<SparseDirectory>
-CmpSystem::buildSparseDir() const
-{
-    if (cfg_.protocol == ProtocolKind::Dls)
-        return nullptr; // DLS has no directory structure at all
-    if (cfg_.dirOrg != DirOrg::ZeroDev)
-        return nullptr;
-    if (cfg_.directory.sizeRatio <= 0.0)
-        return nullptr; // ZeroDEV with no sparse directory at all
-    const std::uint64_t sets = floorPow2(cfg_.dirSetsPerSlice());
-    return std::make_unique<SparseDirectory>(
-        cfg_.llcBanks, sets, cfg_.directory.ways,
-        /*replacement_disabled=*/true);
-}
-
 std::unique_ptr<DirOrgBase>
 CmpSystem::buildDirOrg() const
 {
@@ -118,7 +102,12 @@ CmpSystem::buildDirOrg() const
     }
     switch (cfg_.dirOrg) {
       case DirOrg::ZeroDev:
-        return nullptr;
+        if (cfg_.directory.sizeRatio <= 0.0)
+            return nullptr; // every entry lives in the LLC or memory
+        // Section III-C4: a full set refuses, it never evicts.
+        return std::make_unique<SparseOrg>(SparseDirectory(
+            cfg_.llcBanks, sets, cfg_.directory.ways,
+            /*replacement_disabled=*/true));
       case DirOrg::SparseNru:
         return std::make_unique<SparseOrg>(SparseDirectory(
             cfg_.llcBanks, sets, cfg_.directory.ways, false,
@@ -231,19 +220,13 @@ CmpSystem::peekTracking(SocketId sid, BlockAddr block) const
     const Socket &s = *sockets_[sid];
     Tracking trk;
     if (s.dirOrg) {
-        auto e = s.dirOrg->peek(block);
-        if (e) {
+        if (auto e = s.dirOrg->peek(block)) {
             trk.where = TrackWhere::Org;
-            trk.entry = *e;
-        }
-        return trk;
-    }
-    if (s.sparseDir) {
-        if (const DirEntry *e = s.sparseDir->peek(block)) {
-            trk.where = TrackWhere::SparseDir;
             trk.entry = *e;
             return trk;
         }
+        if (!zeroDev())
+            return trk;
     }
     LlcProbe p = s.llc.peek(block);
     if (p.spilled) {
@@ -260,7 +243,7 @@ Tracking
 CmpSystem::peekTrackingCounted(Socket &s, BlockAddr block)
 {
     const Tracking trk = peekTracking(s.id, block);
-    if (!s.dirOrg && trk.where != TrackWhere::SparseDir)
+    if (trk.where != TrackWhere::Org && (zeroDev() || !s.dirOrg))
         s.llc.noteLookup(); // the peek fell through to the LLC tags
     return trk;
 }
@@ -389,19 +372,15 @@ CmpSystem::report() const
               static_cast<double>(m.stats().traversals));
         d.add(p + "mesh.total_hops", static_cast<double>(m.stats().hops));
         m.hopHist().addTo(d, p + "mesh.hops");
-        if (sockets_[s]->sparseDir) {
-            d.add(p + "dir.live",
-                  static_cast<double>(sockets_[s]->sparseDir->liveEntries()));
-            d.add(p + "dir.refusals",
-                  static_cast<double>(
-                      sockets_[s]->sparseDir->stats().refusals));
-        }
-        if (sockets_[s]->dirOrg) {
-            d.add(p + "dir.live",
-                  static_cast<double>(sockets_[s]->dirOrg->liveEntries()));
-            d.add(p + "dir.forced_invs",
-                  static_cast<double>(
-                      sockets_[s]->dirOrg->orgStats().forcedInvalidations));
+        if (const DirOrgBase *org = sockets_[s]->dirOrg.get()) {
+            d.add(p + "dir.live", static_cast<double>(org->liveEntries()));
+            if (zeroDev())
+                d.add(p + "dir.refusals",
+                      static_cast<double>(org->orgStats().refusals));
+            else
+                d.add(p + "dir.forced_invs",
+                      static_cast<double>(
+                          org->orgStats().forcedInvalidations));
         }
         d.add(p + "mem.corrupted_blocks",
               static_cast<double>(sockets_[s]->memStore.corruptedBlocks()));

@@ -31,7 +31,6 @@
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "directory/dir_org.hh"
-#include "directory/sparse_directory.hh"
 #include "core/socket_dir.hh"
 #include "interconnect/mesh.hh"
 #include "interconnect/message.hh"
@@ -50,14 +49,15 @@ class LatencyProfiler;
 
 class ProtocolBackend;
 
-/** Where a block's in-socket directory entry currently lives. */
+/** Where a block's in-socket directory entry currently lives. The
+ *  values are the `dir_lookup` trace event's arg, so they stay fixed
+ *  (1 is unused). */
 enum class TrackWhere : std::uint8_t
 {
-    None,       //!< untracked within the socket
-    SparseDir,  //!< dedicated sparse directory structure
-    LlcSpilled, //!< spilled line in the LLC
-    LlcFused,   //!< fused into the block's LLC line
-    Org,        //!< baseline organisation (sparse/unbounded/SecDir/MgD)
+    None = 0,       //!< untracked within the socket
+    LlcSpilled = 2, //!< spilled line in the LLC (ZeroDEV)
+    LlcFused = 3,   //!< fused into the block's LLC line (ZeroDEV)
+    Org = 4,        //!< the socket's directory organisation
 };
 
 /** Snapshot of a block's tracking state within one socket. */
@@ -191,13 +191,8 @@ class CmpSystem
     /** Distribution of copies invalidated per DEV order. */
     const Histogram &devSizeHist() const { return devSize_; }
 
-    /** Sparse directory of socket @p s, or null when absent. */
-    const SparseDirectory *sparseDir(SocketId s) const
-    {
-        return sockets_[s]->sparseDir.get();
-    }
-
-    /** Baseline directory organisation of socket @p s, or null. */
+    /** Directory organisation of socket @p s; null under DLS and under
+     *  ZeroDEV with no sparse directory. */
     const DirOrgBase *dirOrg(SocketId s) const
     {
         return sockets_[s]->dirOrg.get();
@@ -234,7 +229,7 @@ class CmpSystem
 
     /**
      * Serialize the complete architectural + statistics state: private
-     * caches, sparse directory (or baseline organisation), LLC banks
+     * caches, directory organisation, LLC banks
      * including spilled/fused DE lines, memory-store DE regions, socket
      * directory, DRAM timing state and every counter. The stream begins
      * with the config fingerprint; restoreState() refuses a stream whose
@@ -247,7 +242,7 @@ class CmpSystem
      *  On mismatch/corruption the error is reported through @p in. */
     void restoreState(SerialIn &in);
 
-    /** Write / read a `zerodev-snapshot-v1` container file holding this
+    /** Write / read a `zerodev-snapshot-v2` container file holding this
      *  system's state. Returns false and sets @p err on failure. */
     bool saveSnapshot(const std::string &path,
                       std::string *err = nullptr) const;
@@ -273,8 +268,7 @@ class CmpSystem
         SocketId id;
         std::vector<PrivateCache> cores;
         Llc llc;
-        std::unique_ptr<SparseDirectory> sparseDir; //!< ZeroDEV mode
-        std::unique_ptr<DirOrgBase> dirOrg;         //!< baseline modes
+        std::unique_ptr<DirOrgBase> dirOrg;
         Dram dram;
         MemoryStore memStore; //!< metadata of blocks homed here
         /** Socket-level directory cache of blocks homed here, over one
@@ -285,7 +279,6 @@ class CmpSystem
     };
 
     // ----- construction helpers (cmp_system.cc) -----
-    std::unique_ptr<SparseDirectory> buildSparseDir() const;
     std::unique_ptr<DirOrgBase> buildDirOrg() const;
 
     // ----- address helpers -----
@@ -298,24 +291,9 @@ class CmpSystem
         return gcore % cfg_.coresPerSocket;
     }
 
-    /**
-     * Model one protocol message on socket @p s's interconnect: carve a
-     * Message from the mesh's pool, stamp it, account its wire bytes,
-     * and recycle it. Steady state touches no heap; under
-     * ZERODEV_ASSERTS the pool's outstanding counter proves the paths
-     * leak no messages (checked by the invariant sweep).
-     */
-    static void
-    send(Socket &s, MsgType t, BlockAddr block)
-    {
-        MessagePool &pool = s.mesh.msgPool();
-        Message *m = pool.acquire();
-        m->type = t;
-        m->src = s.id;
-        m->block = block;
-        s.traffic.record(t);
-        pool.release(m);
-    }
+    /** Model one protocol message on socket @p s's interconnect: the
+     *  model only accounts its wire bytes. */
+    static void send(Socket &s, MsgType t) { s.traffic.record(t); }
 
     /** Mesh latency from core tile to the block's home bank tile. */
     Cycle meshCoreToBank(Socket &s, CoreId c, BlockAddr block) const;
@@ -397,19 +375,22 @@ class CmpSystem
      * Write back the (possibly updated) tracking state of @p block.
      * @p where must be the location findTracking reported. A dead entry
      * erases the tracking; transitions S <-> M/E maintain the FPSS
-     * fuse/spill invariants; brand-new entries allocate per the
-     * replacement-disabled sparse directory + LLC caching policy.
+     * fuse/spill invariants; brand-new entries go through
+     * installNewTracking().
      */
     void writeTracking(Socket &s, BlockAddr block, TrackWhere where,
                        const DirEntry &entry, Cycle now);
 
-    /** Install a brand-new entry (ZeroDEV allocation path). */
+    /** Install a brand-new entry in the organisation; an entry it
+     *  refuses (ZeroDEV's full replacement-disabled set) or a ZeroDEV
+     *  socket without one goes to the LLC. */
     void installNewTracking(Socket &s, BlockAddr block,
                             const DirEntry &entry, Cycle now);
 
-    /** Write @p entry through the baseline organisation and apply the
-     *  forced invalidations it reports, reusing invScratch_. */
-    void applyOrgSet(Socket &s, BlockAddr block, const DirEntry &entry,
+    /** Write @p entry through the organisation and apply the forced
+     *  invalidations it reports, reusing invScratch_. Returns false when
+     *  the organisation refused the entry. */
+    bool applyOrgSet(Socket &s, BlockAddr block, const DirEntry &entry,
                      Cycle now);
 
     /** Accommodate @p entry in the LLC per the configured policy. */

@@ -194,8 +194,11 @@ checkInvariants(const CmpSystem &sys)
                             " tracks cores that do not cache it");
             }
         };
-        if (const SparseDirectory *dir = sys.sparseDir(s)) {
-            dir->forEach([&](BlockAddr b, const DirEntry &e) {
+        // ZeroDEV's organisation: its replacement-disabled sparse
+        // directory.
+        const auto *org = dynamic_cast<const SparseOrg *>(sys.dirOrg(s));
+        if (zerodev && org) {
+            org->dir().forEach([&](BlockAddr b, const DirEntry &e) {
                 check_entry(b, e, "sparse-dir");
             });
         }
@@ -392,20 +395,6 @@ checkInvariants(const CmpSystem &sys)
                          " has no cached copy anywhere in the system"});
             }
         });
-    }
-
-    // 8. Message-pool hygiene: between transactions every modelled
-    // message must have been returned to its socket's pool. The
-    // outstanding counter only exists under ZERODEV_ASSERTS (it reads 0
-    // otherwise, making this check a no-op in stripped builds).
-    for (SocketId s = 0; s < cfg.sockets; ++s) {
-        const std::uint64_t leaked = sys.mesh(s).msgPool().outstanding();
-        if (leaked != 0) {
-            out.push_back({"message-pool-leak",
-                           "socket " + std::to_string(s) + " has " +
-                               std::to_string(leaked) +
-                               " unreleased pool messages"});
-        }
     }
 
     return out;

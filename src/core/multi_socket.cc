@@ -31,7 +31,7 @@ CmpSystem::socketEvictionNotice(SocketId sid, BlockAddr block,
                                 bool restore_data, Cycle now)
 {
     Socket &h = home(block);
-    send(*sockets_[sid], MsgType::PutS, block);
+    send(*sockets_[sid], MsgType::PutS);
     SocketDirEntry &se = socketEntry(block);
     se.sharers.reset(sid);
     h.memStore.clearSegment(block, sid);
@@ -44,9 +44,9 @@ CmpSystem::socketEvictionNotice(SocketId sid, BlockAddr block,
             // System-wide last copy of a destroyed block: retrieve it
             // from the evicting cache and overwrite the corrupted
             // memory block (Section III-D4).
-            send(*sockets_[sid], MsgType::DataResp, block);
+            send(*sockets_[sid], MsgType::DataResp);
             h.dram.write(block, now, true);
-            send(h, MsgType::MemWrite, block);
+            send(h, MsgType::MemWrite);
             h.memStore.clearBlock(block);
             h.memStore.restoreData(block);
             ++proto_.lastCopyRestores;
@@ -83,8 +83,8 @@ CmpSystem::invalidateRemoteSharers(Socket &s, BlockAddr block, Cycle now)
             gs.llc.invalidateLine(*probe.data);
         if (probe.spilled)
             gs.llc.invalidateLine(*probe.spilled);
-        send(s, MsgType::Inv, block);
-        send(gs, MsgType::InvAck, block);
+        send(s, MsgType::Inv);
+        send(gs, MsgType::InvAck);
         se.sharers.reset(g);
     }
     if (any) {
@@ -125,7 +125,7 @@ CmpSystem::supplyFromSocket(Socket &f, AccessType type, BlockAddr block,
                 probe.data->globalShared = true;
                 f.llc.touchData(probe);
             }
-            send(f, MsgType::DataResp, block);
+            send(f, MsgType::DataResp);
             return now + internal;
         }
         panic("supplyFromSocket: socket %u has neither entry nor LLC "
@@ -165,7 +165,7 @@ CmpSystem::supplyFromSocket(Socket &f, AccessType type, BlockAddr block,
                 // The downgrade writes the dirty data back to home
                 // memory (baseline inter-socket sharing writeback).
                 h.dram.write(block, now, false);
-                send(h, MsgType::MemWrite, block);
+                send(h, MsgType::MemWrite);
             }
         }
         LlcProbe probe = f.llc.probe(block);
@@ -173,7 +173,7 @@ CmpSystem::supplyFromSocket(Socket &f, AccessType type, BlockAddr block,
             probe.data->globalShared = true;
         writeTracking(f, block, trk.where, entry, now);
     }
-    send(f, MsgType::DataResp, block);
+    send(f, MsgType::DataResp);
     return now + internal;
 }
 
@@ -190,7 +190,7 @@ CmpSystem::forwardToSharerSocket(Socket &s, CoreId c, AccessType type,
     Socket &f = *sockets_[fid];
 
     send(h, type == AccessType::Store ? MsgType::FwdGetX
-                                               : MsgType::FwdGetS, block);
+                                               : MsgType::FwdGetS);
     Cycle t = now + cfg_.interSocketCycles; // home -> F
     ZDEV_LAT(lat_, obs::LatComp::InterSocket, cfg_.interSocketCycles);
 
@@ -205,7 +205,7 @@ CmpSystem::forwardToSharerSocket(Socket &s, CoreId c, AccessType type,
         // memory: DENF_NACK, home extracts F's entry and re-forwards it
         // with the request (Figure 15, steps 7-11).
         ++proto_.denfNacks;
-        send(f, MsgType::DenfNack, block);
+        send(f, MsgType::DenfNack);
         t += cfg_.interSocketCycles;            // F -> home NACK
         ZDEV_LAT(lat_, obs::LatComp::InterSocket, cfg_.interSocketCycles);
         auto fentry = h.memStore.loadSegment(block, fid);
@@ -214,7 +214,7 @@ CmpSystem::forwardToSharerSocket(Socket &s, CoreId c, AccessType type,
         const Cycle de_start = t;
         t = h.dram.read(block, t, true);        // read corrupted block
         ZDEV_LAT(lat_, obs::LatComp::DeMemory, t - de_start);
-        send(h, MsgType::FwdWithDe, block);
+        send(h, MsgType::FwdWithDe);
         t += cfg_.interSocketCycles;            // home -> F resend
         ZDEV_LAT(lat_, obs::LatComp::InterSocket, cfg_.interSocketCycles);
         h.memStore.clearSegment(block, fid);
@@ -240,12 +240,12 @@ CmpSystem::forwardToSharerSocket(Socket &s, CoreId c, AccessType type,
                 entry.state = DirState::Shared;
             }
             // The updated entry returns to its home memory segment.
-            send(f, MsgType::PutDe, block);
+            send(f, MsgType::PutDe);
             h.dram.write(block, t, true);
-            send(h, MsgType::MemWrite, block);
+            send(h, MsgType::MemWrite);
             h.memStore.storeSegment(block, fid, entry);
         }
-        send(f, MsgType::DataResp, block);
+        send(f, MsgType::DataResp);
         t += cfg_.interSocketCycles; // F -> requester data
         ZDEV_LAT(lat_, obs::LatComp::InterSocket, cfg_.interSocketCycles);
         return t;
@@ -267,7 +267,7 @@ CmpSystem::serveSocketMissMulti(Socket &s, CoreId c, AccessType type,
         t += cfg_.interSocketCycles;
         ZDEV_LAT(lat_, obs::LatComp::InterSocket, cfg_.interSocketCycles);
         send(s, type == AccessType::Store ? MsgType::GetX
-                                                   : MsgType::GetS, block);
+                                                   : MsgType::GetS);
     }
     t += 2; // socket-level directory cache lookup
     ZDEV_LAT(lat_, obs::LatComp::DirLookup, 2);
@@ -280,7 +280,7 @@ CmpSystem::serveSocketMissMulti(Socket &s, CoreId c, AccessType type,
         const Cycle de_start = t;
         t = h.dram.read(block, t, true);
         ZDEV_LAT(lat_, obs::LatComp::DeMemory, t - de_start);
-        send(h, MsgType::MemRead, block);
+        send(h, MsgType::MemRead);
     }
     SocketDirEntry &se = acc.entry;
 
@@ -312,8 +312,8 @@ CmpSystem::serveSocketMissMulti(Socket &s, CoreId c, AccessType type,
       case SocketDirState::Invalid: {
         const Cycle mem = h.dram.read(block, t, false);
         ZDEV_LAT(lat_, obs::LatComp::Dram, mem - t);
-        send(h, MsgType::MemRead, block);
-        send(h, MsgType::MemReadResp, block);
+        send(h, MsgType::MemRead);
+        send(h, MsgType::MemReadResp);
         const Cycle back = meshBankToCore(s, block, c);
         ZDEV_LAT(lat_, obs::LatComp::Mesh, back);
         Cycle done = mem + back;
@@ -355,8 +355,8 @@ CmpSystem::serveSocketMissMulti(Socket &s, CoreId c, AccessType type,
                     gs.llc.invalidateLine(*probe.data);
                 if (probe.spilled)
                     gs.llc.invalidateLine(*probe.spilled);
-                send(h, MsgType::Inv, block);
-                send(gs, MsgType::InvAck, block);
+                send(h, MsgType::Inv);
+                send(gs, MsgType::InvAck);
                 se.sharers.reset(g);
             }
             const Cycle mem = h.dram.read(block, t, false);
@@ -372,8 +372,8 @@ CmpSystem::serveSocketMissMulti(Socket &s, CoreId c, AccessType type,
             se.sharers.set(s.id);
             fill = MesiState::Shared;
         }
-        send(h, MsgType::MemRead, block);
-        send(h, MsgType::MemReadResp, block);
+        send(h, MsgType::MemRead);
+        send(h, MsgType::MemReadResp);
         const Cycle back = meshBankToCore(s, block, c);
         ZDEV_LAT(lat_, obs::LatComp::Mesh, back);
         done += back;
@@ -390,7 +390,7 @@ CmpSystem::serveSocketMissMulti(Socket &s, CoreId c, AccessType type,
         const SocketId fid = se.anySharerExcept(s.id);
         if (fid == static_cast<SocketId>(~0u))
             panic("socket-level Owned entry with no owner socket");
-        send(h, is_store ? MsgType::FwdGetX : MsgType::FwdGetS, block);
+        send(h, is_store ? MsgType::FwdGetX : MsgType::FwdGetS);
         ZDEV_LAT(lat_, obs::LatComp::InterSocket,
                  2ull * cfg_.interSocketCycles);
         Cycle done = supplyFromSocket(*sockets_[fid], type, block,
@@ -425,8 +425,8 @@ CmpSystem::serveSocketMissMulti(Socket &s, CoreId c, AccessType type,
                       s.id);
             Cycle done = h.dram.read(block, t, true) + 1;
             ZDEV_LAT(lat_, obs::LatComp::DeMemory, done - t);
-            send(h, MsgType::MemRead, block);
-            send(h, MsgType::DataRespCorrupted, block);
+            send(h, MsgType::MemRead);
+            send(h, MsgType::DataRespCorrupted);
             if (h.id != s.id) {
                 done += cfg_.interSocketCycles;
                 ZDEV_LAT(lat_, obs::LatComp::InterSocket,

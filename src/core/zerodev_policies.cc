@@ -1,8 +1,9 @@
 /**
  * @file
- * ZeroDEV tracking-state management: locating a block's directory entry
- * (sparse directory -> LLC spilled/fused -> home memory), writing updated
- * entries back while maintaining the FusePrivateSpillShared invariants
+ * Tracking-state management: locating a block's directory entry
+ * (directory organisation, then for ZeroDEV the LLC spilled/fused lines
+ * and home memory), writing updated entries back through the same path
+ * while maintaining the FusePrivateSpillShared invariants
  * (fused => M/E when co-resident with the block; spilled otherwise), the
  * replacement-disabled allocation path, and the WB_DE flow that houses an
  * LLC-evicted entry inside the (stale) home memory block (Sections III-C
@@ -23,19 +24,15 @@ CmpSystem::findTracking(Socket &s, BlockAddr block)
 {
     Tracking trk;
     if (s.dirOrg) {
-        auto e = s.dirOrg->lookup(block);
-        if (e) {
+        if (auto e = s.dirOrg->lookup(block)) {
             trk.where = TrackWhere::Org;
-            trk.entry = *e;
-        }
-        return trk;
-    }
-    if (s.sparseDir) {
-        if (DirEntry *e = s.sparseDir->find(block)) {
-            trk.where = TrackWhere::SparseDir;
             trk.entry = *e;
             return trk;
         }
+        if (!zeroDev())
+            return trk;
+        // ZeroDEV: the sparse directory holds only the entries it had
+        // room for; the others live in the LLC.
     }
     LlcProbe p = s.llc.probe(block);
     if (p.spilled) {
@@ -50,51 +47,37 @@ CmpSystem::findTracking(Socket &s, BlockAddr block)
     return trk;
 }
 
-void
+bool
 CmpSystem::applyOrgSet(Socket &s, BlockAddr block, const DirEntry &entry,
                        Cycle now)
 {
     // Borrow the member scratch instead of allocating a vector on every
-    // set() — this runs once per access in the baseline organisations.
+    // set() — this runs once per access in every organisation.
     // Borrow-by-move (not a reference) because applyInvalidation() can
     // re-enter this function via LLC victim handling; a nested call then
     // simply starts from an empty buffer.
     std::vector<Invalidation> invs = std::move(invScratch_);
     invs.clear();
-    s.dirOrg->set(block, entry, invs, localCore(txnCore_));
+    const bool accepted =
+        s.dirOrg->set(block, entry, invs, localCore(txnCore_));
     for (const Invalidation &inv : invs)
         applyInvalidation(s, inv, now);
     invScratch_ = std::move(invs);
+    return accepted;
 }
 
 void
 CmpSystem::writeTracking(Socket &s, BlockAddr block, TrackWhere where,
                          const DirEntry &entry, Cycle now)
 {
-    if (s.dirOrg) {
-        applyOrgSet(s, block, entry, now);
-        return;
-    }
-
     switch (where) {
       case TrackWhere::Org:
-        panic("Org tracking without a directory organisation");
+        applyOrgSet(s, block, entry, now);
+        return;
 
       case TrackWhere::None:
-        if (entry.live())
-            installNewTracking(s, block, entry, now);
+        installNewTracking(s, block, entry, now);
         return;
-
-      case TrackWhere::SparseDir: {
-        DirEntry *e = s.sparseDir->find(block);
-        if (!e)
-            panic("sparse directory lost a tracked entry");
-        if (entry.live())
-            *e = entry;
-        else
-            s.sparseDir->free(block);
-        return;
-      }
 
       case TrackWhere::LlcSpilled: {
         LlcProbe p = s.llc.probe(block);
@@ -173,22 +156,13 @@ void
 CmpSystem::installNewTracking(Socket &s, BlockAddr block,
                               const DirEntry &entry, Cycle now)
 {
-    if (s.dirOrg) {
-        applyOrgSet(s, block, entry, now);
+    // A baseline organisation always takes the entry. ZeroDEV's
+    // replacement-disabled sparse directory (Section III-C4) takes it
+    // into a free way or refuses, and the entry goes to the LLC.
+    if (s.dirOrg && applyOrgSet(s, block, entry, now))
         return;
-    }
-    if (s.sparseDir) {
-        // Replacement-disabled sparse directory (Section III-C4): use a
-        // free way if one exists, otherwise go straight to the LLC.
-        DirAllocResult res = s.sparseDir->alloc(block);
-        if (res.evictedVictim)
-            panic("replacement-disabled sparse directory evicted");
-        if (res.entry) {
-            *res.entry = entry;
-            return;
-        }
-    }
-    cacheEntryInLlc(s, block, entry, now);
+    if (entry.live())
+        cacheEntryInLlc(s, block, entry, now);
 }
 
 void
@@ -256,7 +230,7 @@ CmpSystem::writebackEntryToMemory(Socket &s, BlockAddr block,
                s.id, 0, block, now, 0,
                static_cast<std::uint32_t>(entry.count()), txn_);
     Socket &h = home(block);
-    send(s, MsgType::WbDe, block);
+    send(s, MsgType::WbDe);
     Cycle t = now;
     if (h.id != s.id)
         t += cfg_.interSocketCycles;
@@ -276,10 +250,10 @@ CmpSystem::writebackEntryToMemory(Socket &s, BlockAddr block,
         t = h.dram.read(block, t, true);
         // WB_DE is posted: the read-modify-write delays no requester.
         ZDEV_LAT_OFFPATH(lat_, obs::LatComp::DeMemory, t - de_start);
-        send(h, MsgType::MemRead, block);
+        send(h, MsgType::MemRead);
     }
     h.dram.write(block, t, true);
-    send(h, MsgType::MemWrite, block);
+    send(h, MsgType::MemWrite);
     h.memStore.storeSegment(block, s.id, entry);
 
     if (cfg_.sockets > 1) {

@@ -26,7 +26,7 @@ SparseOrg::peek(BlockAddr block) const
     return *e;
 }
 
-void
+bool
 SparseOrg::set(BlockAddr block, const DirEntry &e,
                std::vector<Invalidation> &invs, CoreId requester)
 {
@@ -34,16 +34,17 @@ SparseOrg::set(BlockAddr block, const DirEntry &e,
     if (!e.live()) {
         if (existing)
             dir_.free(block);
-        return;
+        return true;
     }
     if (existing) {
         *existing = e;
-        return;
+        return true;
     }
     DirAllocResult res = dir_.alloc(block, requester);
-    if (!res.entry)
-        panic("SparseOrg: allocation refused (replacement-disabled sparse "
-              "directories must be driven through the ZeroDEV paths)");
+    if (!res.entry) {
+        ++orgStats_.refusals; // replacement-disabled and the set is full
+        return false;
+    }
     if (res.evictedVictim && res.victimEntry.live()) {
         invs.push_back({res.victimBlock, res.victimEntry.sharers,
                         res.victimEntry.state == DirState::Owned});
@@ -51,6 +52,7 @@ SparseOrg::set(BlockAddr block, const DirEntry &e,
         ++orgStats_.entryEvictions;
     }
     *res.entry = e;
+    return true;
 }
 
 void
@@ -60,6 +62,7 @@ DirOrgBase::saveOrgStats(SerialOut &out) const
     out.u64(orgStats_.hits);
     out.u64(orgStats_.forcedInvalidations);
     out.u64(orgStats_.entryEvictions);
+    out.u64(orgStats_.refusals);
 }
 
 void
@@ -69,6 +72,7 @@ DirOrgBase::restoreOrgStats(SerialIn &in)
     orgStats_.hits = in.u64();
     orgStats_.forcedInvalidations = in.u64();
     orgStats_.entryEvictions = in.u64();
+    orgStats_.refusals = in.u64();
 }
 
 void
@@ -160,7 +164,7 @@ PhasePriorityOrg::peek(BlockAddr block) const
     return l->entry;
 }
 
-void
+bool
 PhasePriorityOrg::set(BlockAddr block, const DirEntry &e,
                       std::vector<Invalidation> &invs, CoreId requester)
 {
@@ -171,12 +175,12 @@ PhasePriorityOrg::set(BlockAddr block, const DirEntry &e,
             existing->entry.clear();
             --live_;
         }
-        return;
+        return true;
     }
     if (existing) {
         existing->entry = e;
         stamp(*existing);
-        return;
+        return true;
     }
     Line *row = &lines_[rowOf(block)];
     Line *victim = nullptr;
@@ -203,6 +207,7 @@ PhasePriorityOrg::set(BlockAddr block, const DirEntry &e,
     victim->entry = e;
     stamp(*victim);
     ++live_;
+    return true;
 }
 
 void

@@ -2,14 +2,15 @@
  * @file
  * Abstract interface over the directory organisations the paper compares:
  * the baseline sparse directory (and its unbounded reference), SecDir
- * (ISCA'19) and the Multi-grain Directory (MICRO'13).
+ * (ISCA'19), the Multi-grain Directory (MICRO'13), the phase-priority
+ * rival and ZeroDEV's replacement-disabled sparse directory.
  *
  * The protocol engine reads tracking state with lookup() and writes the
  * new tracking state with set(); an organisation reports any *forced
  * invalidations* (the source of directory eviction victims) that the
- * write caused. ZeroDEV does not implement this interface — its tracking
- * state is spread across the sparse directory, the LLC and home memory
- * and is managed directly by the CMP system.
+ * write caused. A replacement-disabled organisation never forces one: a
+ * full set refuses the write instead, and the CMP system accommodates
+ * the entry in the LLC and, beyond it, in home memory (Section III-C4).
  */
 
 #ifndef ZERODEV_DIRECTORY_DIR_ORG_HH
@@ -45,6 +46,7 @@ struct DirOrgStats
     std::uint64_t hits = 0;
     std::uint64_t forcedInvalidations = 0; //!< Invalidation orders issued
     std::uint64_t entryEvictions = 0;      //!< live entries displaced
+    std::uint64_t refusals = 0; //!< writes refused by a full set
 };
 
 class DirOrgBase
@@ -66,18 +68,20 @@ class DirOrgBase
      * @p requester is the in-socket core driving the update; partitioned
      * organisations confine any allocation to its domain (others ignore
      * it).
+     * @return false when a full replacement-disabled set refused to
+     *         allocate: the tracking is unchanged and @p invs untouched.
      */
-    virtual void set(BlockAddr block, const DirEntry &e,
+    virtual bool set(BlockAddr block, const DirEntry &e,
                      std::vector<Invalidation> &invs,
                      CoreId requester) = 0;
 
     /** Convenience overload for callers with no meaningful requester
      *  (tests, unpartitioned organisations): domain 0. */
-    void
+    bool
     set(BlockAddr block, const DirEntry &e,
         std::vector<Invalidation> &invs)
     {
-        set(block, e, invs, 0);
+        return set(block, e, invs, 0);
     }
 
     /** Number of live tracked blocks. */
@@ -101,7 +105,8 @@ class DirOrgBase
     DirOrgStats orgStats_;
 };
 
-/** Adapter presenting SparseDirectory (or unbounded mode) as a DirOrg. */
+/** Adapter presenting SparseDirectory (normal, replacement-disabled or
+ *  unbounded mode) as a DirOrg. */
 class SparseOrg : public DirOrgBase
 {
   public:
@@ -110,7 +115,7 @@ class SparseOrg : public DirOrgBase
     std::optional<DirEntry> lookup(BlockAddr block) override;
     std::optional<DirEntry> peek(BlockAddr block) const override;
     using DirOrgBase::set;
-    void set(BlockAddr block, const DirEntry &e,
+    bool set(BlockAddr block, const DirEntry &e,
              std::vector<Invalidation> &invs, CoreId requester) override;
     std::uint64_t liveEntries() const override
     {
@@ -125,7 +130,7 @@ class SparseOrg : public DirOrgBase
     void save(SerialOut &out) const override;
     void restore(SerialIn &in) override;
 
-    SparseDirectory &dir() { return dir_; }
+    const SparseDirectory &dir() const { return dir_; }
 
   private:
     SparseDirectory dir_;
@@ -158,7 +163,7 @@ class PhasePriorityOrg : public DirOrgBase
     std::optional<DirEntry> lookup(BlockAddr block) override;
     std::optional<DirEntry> peek(BlockAddr block) const override;
     using DirOrgBase::set;
-    void set(BlockAddr block, const DirEntry &e,
+    bool set(BlockAddr block, const DirEntry &e,
              std::vector<Invalidation> &invs, CoreId requester) override;
     std::uint64_t liveEntries() const override { return live_; }
     std::uint64_t capacityEntries() const override

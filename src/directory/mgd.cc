@@ -180,7 +180,7 @@ MultiGrainDirectory::peek(BlockAddr block) const
     return std::nullopt;
 }
 
-void
+bool
 MultiGrainDirectory::set(BlockAddr block, const DirEntry &e,
                          std::vector<Invalidation> &invs, CoreId requester)
 {
@@ -199,13 +199,13 @@ MultiGrainDirectory::set(BlockAddr block, const DirEntry &e,
             if (rl->presentMap == 0)
                 regionSlice(block).array.releaseAt(rl);
         }
-        return;
+        return true;
     }
 
     if (bl) {
         // Keep block-grain tracking once it exists.
         bl->payload = e;
-        return;
+        return true;
     }
 
     const bool private_owned =
@@ -215,7 +215,7 @@ MultiGrainDirectory::set(BlockAddr block, const DirEntry &e,
     if (in_region) {
         if (private_owned && rl->owner == e.owner()) {
             // Already tracked at region grain by the right owner.
-            return;
+            return true;
         }
         // Sharing broke the private region for this block.
         rl->presentMap &= ~(1u << off);
@@ -229,7 +229,7 @@ MultiGrainDirectory::set(BlockAddr block, const DirEntry &e,
     if (private_owned && !region_conflicted) {
         if (rl && rl->owner == e.owner()) {
             rl->presentMap |= 1u << off;
-            return;
+            return true;
         }
         if (!rl) {
             // Allocate a region entry covering this block (indexed by
@@ -241,7 +241,7 @@ MultiGrainDirectory::set(BlockAddr block, const DirEntry &e,
             nl->owner = e.owner();
             nl->presentMap = 1u << (block - nl->base);
             ++stats_.regionAllocs;
-            return;
+            return true;
         }
         // Region exists with a different owner: fall through to a block
         // entry for this block.
@@ -252,6 +252,7 @@ MultiGrainDirectory::set(BlockAddr block, const DirEntry &e,
     nl->base = block;
     nl->payload = e;
     ++stats_.blockAllocs;
+    return true;
 }
 
 std::uint64_t

@@ -214,7 +214,7 @@ SecDir::installShared(Slice &slice, BlockAddr block, const DirEntry &e,
     slice.shared.touch(sset, free_way.way);
 }
 
-void
+bool
 SecDir::set(BlockAddr block, const DirEntry &e,
             std::vector<Invalidation> &invs, CoreId requester)
 {
@@ -228,33 +228,34 @@ SecDir::set(BlockAddr block, const DirEntry &e,
     if (ref.found) {
         if (!e.live()) {
             slice.shared.release(sset, ref.way);
-            return;
+            return true;
         }
         slice.shared.line(sset, ref.way).payload = e;
         slice.shared.touch(sset, ref.way);
-        return;
+        return true;
     }
 
     // Not in the shared zone: the block may be tracked by private zones.
     DirEntry old = collectPrivate(slice, block);
     if (!e.live())
-        return; // tracking erased
+        return true; // tracking erased
     if (old.sharers.any()) {
         const bool subset = (e.sharers & ~old.sharers).none();
         if (subset && e.sharers.count() == old.sharers.count()) {
             // Same sharer set (e.g. an upgrade): keep it private.
             migrateToPrivate(slice, block, e, invs);
-            return;
+            return true;
         }
         if (subset) {
             // Pure removal (eviction notices): shrink in place.
             migrateToPrivate(slice, block, e, invs);
-            return;
+            return true;
         }
         // A new core joined: promote the entry back to the shared zone.
         ++stats_.migrationsBack;
     }
     installShared(slice, block, e, invs);
+    return true;
 }
 
 std::uint64_t

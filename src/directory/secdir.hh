@@ -65,7 +65,7 @@ class SecDir : public DirOrgBase
     std::optional<DirEntry> lookup(BlockAddr block) override;
     std::optional<DirEntry> peek(BlockAddr block) const override;
     using DirOrgBase::set;
-    void set(BlockAddr block, const DirEntry &e,
+    bool set(BlockAddr block, const DirEntry &e,
              std::vector<Invalidation> &invs, CoreId requester) override;
     std::uint64_t liveEntries() const override;
 

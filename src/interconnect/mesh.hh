@@ -18,7 +18,6 @@
 
 #include "common/stats.hh"
 #include "common/types.hh"
-#include "interconnect/message.hh"
 
 namespace zerodev
 {
@@ -73,11 +72,6 @@ class Mesh
 
     void clearStats() { hopHist_.clear(); }
 
-    /** The socket's message arena: every modelled protocol message is
-     *  carved from (and returned to) this pool. */
-    MessagePool &msgPool() { return pool_; }
-    const MessagePool &msgPool() const { return pool_; }
-
     /** Tile of core @p c (one core per tile). */
     std::uint32_t tileOfCore(CoreId c) const { return c % tiles_; }
 
@@ -100,7 +94,6 @@ class Mesh
     /** Largest Manhattan distance in a kMaxCores-tile mesh is well
      *  under 64; exact buckets keep every percentile precise. */
     mutable Histogram hopHist_{64};
-    MessagePool pool_;
 };
 
 } // namespace zerodev

@@ -106,7 +106,6 @@ void
 TrafficStats::clear()
 {
     counts_.fill(0);
-    bytes_.fill(0);
 }
 
 StatDump
@@ -122,7 +121,7 @@ TrafficStats::report() const
         d.add(std::string("count.") + toString(t),
               static_cast<double>(counts_[i]));
         d.add(std::string("bytes.") + toString(t),
-              static_cast<double>(bytes_[i]));
+              static_cast<double>(bytesOf(t)));
     }
     return d;
 }
@@ -134,10 +133,10 @@ TrafficStats::save(SerialOut &out) const
     out.u64(kN);
     for (std::size_t i = 0; i < kN; ++i) {
         out.u64(counts_[i]);
-        out.u64(bytes_[i]);
+        out.u64(bytesOf(static_cast<MsgType>(i)));
     }
-    // Totals are derived from the per-type table but stay in the stream
-    // so the byte format (and old snapshots) remain valid.
+    // Bytes and totals are derived from the counts but stay in the
+    // stream so the byte format (and old snapshots) remain valid.
     out.u64(totalBytes());
     out.u64(totalMessages());
 }
@@ -149,7 +148,7 @@ TrafficStats::restore(SerialIn &in)
         return;
     for (std::size_t i = 0; i < kN; ++i) {
         counts_[i] = in.u64();
-        bytes_[i] = in.u64();
+        in.u64(); // bytes: derived, stream-compatible
     }
     in.u64(); // total bytes: derived, stream-compatible
     in.u64(); // total messages: derived, stream-compatible

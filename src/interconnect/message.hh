@@ -15,8 +15,6 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
-#include <vector>
 
 #include "common/stats.hh"
 #include "common/types.hh"
@@ -75,120 +73,24 @@ const char *toString(MsgType t);
  *  sharer-vector payloads carried by the directory-entry messages. */
 std::uint32_t msgBytes(MsgType t, std::uint32_t cores);
 
-/** One in-flight interconnect message. Pool-recycled: the protocol paths
- *  stamp it, account it, and hand it straight back, so the fields only
- *  need to live for the duration of one modelled transfer. */
-struct Message
-{
-    MsgType type = MsgType::GetS;
-    SocketId src = 0;    //!< socket whose interconnect carries it
-    BlockAddr block = 0; //!< block the message concerns
-    Message *next = nullptr; //!< freelist link while pooled
-};
-
-/**
- * Freelist arena of Message objects. Chunked backing storage keeps every
- * steady-state acquire/release to a pointer pop/push with zero heap
- * traffic; memory is only allocated when the high-water mark of
- * concurrently live messages grows (bounded by the deepest protocol
- * flow, a handful of messages).
- *
- * With ZERODEV_ASSERTS the pool counts outstanding messages so the
- * invariant sweep can prove the protocol paths leak none (every access
- * returns with the pool drained back to empty).
- */
-class MessagePool
-{
-  public:
-    MessagePool() = default;
-    MessagePool(const MessagePool &) = delete;
-    MessagePool &operator=(const MessagePool &) = delete;
-
-    Message *
-    acquire()
-    {
-        if (free_ == nullptr)
-            grow();
-        Message *m = free_;
-        free_ = m->next;
-        m->next = nullptr;
-#if ZERODEV_ASSERTS
-        ++outstanding_;
-#endif
-        return m;
-    }
-
-    void
-    release(Message *m)
-    {
-        m->next = free_;
-        free_ = m;
-#if ZERODEV_ASSERTS
-        --outstanding_;
-#endif
-    }
-
-    /** Messages acquired but not yet released. Only maintained under
-     *  ZERODEV_ASSERTS; reads 0 otherwise (the invariant sweep then
-     *  checks nothing). */
-    std::uint64_t
-    outstanding() const
-    {
-#if ZERODEV_ASSERTS
-        return outstanding_;
-#else
-        return 0;
-#endif
-    }
-
-    /** Total messages the arena has ever materialized (capacity). */
-    std::uint64_t allocated() const { return chunks_.size() * kChunk; }
-
-  private:
-    static constexpr std::size_t kChunk = 64;
-
-    void
-    grow()
-    {
-        chunks_.push_back(std::make_unique<Message[]>(kChunk));
-        Message *chunk = chunks_.back().get();
-        for (std::size_t i = 0; i < kChunk; ++i) {
-            chunk[i].next = free_;
-            free_ = &chunk[i];
-        }
-    }
-
-    std::vector<std::unique_ptr<Message[]>> chunks_;
-    Message *free_ = nullptr;
-#if ZERODEV_ASSERTS
-    std::uint64_t outstanding_ = 0;
-#endif
-};
-
 /** Accumulates message counts and byte totals, optionally hop-weighted. */
 class TrafficStats
 {
   public:
     explicit TrafficStats(std::uint32_t cores);
 
-    /** Record one message of type @p t. The wire size comes from the
-     *  constructor-computed per-type byte table; totals are derived
-     *  lazily, so the hot path is two array adds. */
-    void
-    record(MsgType t)
-    {
-        const auto i = static_cast<std::size_t>(t);
-        counts_[i] += 1;
-        bytes_[i] += byteTable_[i];
-    }
+    /** Record one message of type @p t. Bytes are derived from the
+     *  counts and the constructor-computed per-type byte table, so the
+     *  hot path is one array add. */
+    void record(MsgType t) { counts_[static_cast<std::size_t>(t)] += 1; }
 
     /** Total bytes communicated (summed over the per-type table). */
     std::uint64_t
     totalBytes() const
     {
         std::uint64_t n = 0;
-        for (const std::uint64_t b : bytes_)
-            n += b;
+        for (std::size_t i = 0; i < kN; ++i)
+            n += counts_[i] * byteTable_[i];
         return n;
     }
 
@@ -205,7 +107,8 @@ class TrafficStats
     /** Bytes for one message type. */
     std::uint64_t bytesOf(MsgType t) const
     {
-        return bytes_[static_cast<std::size_t>(t)];
+        const auto i = static_cast<std::size_t>(t);
+        return counts_[i] * byteTable_[i];
     }
 
     /** Message count for one type. */
@@ -231,7 +134,6 @@ class TrafficStats
     std::uint32_t cores_;
     std::array<std::uint32_t, kN> byteTable_{}; //!< msgBytes per type
     std::array<std::uint64_t, kN> counts_{};
-    std::array<std::uint64_t, kN> bytes_{};
 };
 
 } // namespace zerodev

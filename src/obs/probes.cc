@@ -24,8 +24,6 @@ double
 liveDirEntries(const CmpSystem &sys)
 {
     return overSockets(sys, [&](SocketId s) {
-        if (sys.sparseDir(s))
-            return static_cast<double>(sys.sparseDir(s)->liveEntries());
         if (sys.dirOrg(s))
             return static_cast<double>(sys.dirOrg(s)->liveEntries());
         return 0.0;
@@ -36,8 +34,6 @@ double
 dirCapacity(const CmpSystem &sys)
 {
     return overSockets(sys, [&](SocketId s) {
-        if (sys.sparseDir(s))
-            return static_cast<double>(sys.sparseDir(s)->capacityEntries());
         if (sys.dirOrg(s))
             return static_cast<double>(sys.dirOrg(s)->capacityEntries());
         return 0.0;

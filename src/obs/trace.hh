@@ -38,7 +38,7 @@ namespace zerodev::obs
 enum class TraceComp : std::uint8_t
 {
     Core,      //!< private hierarchy (requests, completions)
-    Directory, //!< sparse directory / baseline organisation
+    Directory, //!< directory organisation
     Llc,       //!< shared LLC (spill/fuse/victims)
     Mesh,      //!< interconnect (forwards)
     Memory,    //!< DRAM and entry-in-memory flows

@@ -39,7 +39,14 @@ speedup(const RunResult &base, const RunResult &test)
 double
 weightedSpeedup(const RunResult &base, const RunResult &test)
 {
-    return test.weightedSpeedupOver(base);
+    const auto ipcs = [](const RunResult &r) {
+        std::vector<double> v;
+        v.reserve(r.coreCycles.size());
+        for (std::uint32_t c = 0; c < r.coreCycles.size(); ++c)
+            v.push_back(r.ipc(c));
+        return v;
+    };
+    return weightedSpeedup(ipcs(base), ipcs(test));
 }
 
 double

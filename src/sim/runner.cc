@@ -255,19 +255,6 @@ weightedSpeedup(const std::vector<double> &base_ipc,
     return sum / static_cast<double>(n);
 }
 
-double
-RunResult::weightedSpeedupOver(const RunResult &base) const
-{
-    std::vector<double> b, t;
-    b.reserve(base.coreCycles.size());
-    t.reserve(coreCycles.size());
-    for (std::uint32_t c = 0; c < base.coreCycles.size(); ++c)
-        b.push_back(base.ipc(c));
-    for (std::uint32_t c = 0; c < coreCycles.size(); ++c)
-        t.push_back(ipc(c));
-    return zerodev::weightedSpeedup(b, t);
-}
-
 RunResult
 run(CmpSystem &sys, const Workload &workload, const RunConfig &rc)
 {

@@ -160,10 +160,6 @@ struct RunResult
                    : static_cast<double>(coreInstructions[core]) /
                          static_cast<double>(coreCycles[core]);
     }
-
-    /** The paper's multi-programmed metric: weighted speedup of this run
-     *  over @p base — mean over the common cores of IPC / base IPC. */
-    double weightedSpeedupOver(const RunResult &base) const;
 };
 
 /** Weighted speedup of @p test_ipc over @p base_ipc: sum of test/base

@@ -207,17 +207,5 @@ TEST(WeightedSpeedup, VectorHelper)
     EXPECT_DOUBLE_EQ(weightedSpeedup({1.0, 1.0, 1.0}, {2.0}), 2.0);
 }
 
-TEST(WeightedSpeedup, RunResultHelper)
-{
-    RunResult base;
-    base.coreCycles = {100, 100};
-    base.coreInstructions = {100, 50}; // IPC 1.0, 0.5
-    RunResult test;
-    test.coreCycles = {50, 100};
-    test.coreInstructions = {100, 50}; // IPC 2.0, 0.5
-    EXPECT_DOUBLE_EQ(test.weightedSpeedupOver(base), 1.5);
-    EXPECT_DOUBLE_EQ(base.weightedSpeedupOver(base), 1.0);
-}
-
 } // namespace
 } // namespace zerodev

@@ -8,7 +8,7 @@
  * written by `fuzz_tool gen` / `fuzz_tool shrink` (see
  * docs/VERIFICATION.md for the workflow).
  *
- * The corpus also carries a golden zerodev-snapshot-v1 file
+ * The corpus also carries a golden zerodev-snapshot-v2 file
  * (golden-tiny-zdev.snap): a checked-in byte image that pins the
  * snapshot format itself — a format or serialization-order change that
  * silently invalidates old snapshots fails here first. Regenerate with

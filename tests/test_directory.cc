@@ -9,6 +9,7 @@
 
 #include "directory/dir_entry.hh"
 #include "directory/dir_formats.hh"
+#include "directory/dir_org.hh"
 #include "directory/sparse_directory.hh"
 
 namespace zerodev
@@ -93,6 +94,32 @@ TEST(SparseDirectory, ReplacementDisabledRefuses)
     dir.free(16);
     DirAllocResult r2 = dir.alloc(16ull * 9);
     EXPECT_NE(r2.entry, nullptr);
+}
+
+TEST(SparseOrg, FullReplacementDisabledSetRefusesSet)
+{
+    SparseOrg org(SparseDirectory(2, 8, 8, true));
+    std::vector<Invalidation> invs;
+    DirEntry e;
+    for (std::uint32_t i = 0; i < 8; ++i) {
+        e.makeOwned(i);
+        ASSERT_TRUE(org.set(16ull * (i + 1), e, invs));
+    }
+
+    e.makeOwned(7);
+    EXPECT_FALSE(org.set(16ull * 9, e, invs));
+    EXPECT_TRUE(invs.empty());
+    EXPECT_EQ(org.orgStats().refusals, 1u);
+    EXPECT_EQ(org.orgStats().forcedInvalidations, 0u);
+    EXPECT_EQ(org.orgStats().entryEvictions, 0u);
+    // The set is unchanged: all eight entries, none for the refused one.
+    EXPECT_EQ(org.liveEntries(), 8u);
+    EXPECT_FALSE(org.peek(16ull * 9));
+    for (std::uint32_t i = 0; i < 8; ++i) {
+        const auto held = org.peek(16ull * (i + 1));
+        ASSERT_TRUE(held) << i;
+        EXPECT_EQ(held->owner(), i);
+    }
 }
 
 TEST(SparseDirectory, UnboundedNeverEvicts)

@@ -42,9 +42,9 @@ TEST(Dls, NoDirectoryStructureExists)
     CmpSystem sys(tinyDls());
     touch(sys, 0, AccessType::Store, 100, 0);
     touch(sys, 1, AccessType::Load, 200, 1000);
-    // DLS builds neither a sparse directory nor a DirOrg; the LLC banks
-    // alone serialize requests.
-    EXPECT_EQ(sys.sparseDir(0), nullptr);
+    // DLS builds no directory organisation; the LLC banks alone
+    // serialize requests.
+    EXPECT_EQ(sys.dirOrg(0), nullptr);
     EXPECT_EQ(sys.protoStats().devInvalidations, 0u);
     assertInvariants(sys);
 }

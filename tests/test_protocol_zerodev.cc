@@ -31,6 +31,7 @@ touch(CmpSystem &sys, CoreId core, AccessType t, BlockAddr b, Cycle now)
 TEST(ZeroDev, NoDirAllEntriesLiveInLlc)
 {
     CmpSystem sys(tinyZeroDev(0.0));
+    EXPECT_EQ(sys.dirOrg(0), nullptr);
     touch(sys, 0, AccessType::Store, 100, 0);
     Tracking trk = sys.peekTracking(0, 100);
     ASSERT_TRUE(trk.found());
@@ -135,7 +136,7 @@ TEST(ZeroDev, SparseDirectoryUsedWhenItHasRoom)
     touch(sys, 0, AccessType::Store, 100, 0);
     Tracking trk = sys.peekTracking(0, 100);
     ASSERT_TRUE(trk.found());
-    EXPECT_EQ(trk.where, TrackWhere::SparseDir);
+    EXPECT_EQ(trk.where, TrackWhere::Org);
     assertInvariants(sys);
 }
 
@@ -149,8 +150,9 @@ TEST(ZeroDev, FullSparseSetOverflowsToLlcWithoutEviction)
                   t + 100);
     // No DEVs, ever; the overflow entries live in the LLC.
     EXPECT_EQ(sys.protoStats().devInvalidations, 0u);
-    ASSERT_NE(sys.sparseDir(0), nullptr);
-    EXPECT_GT(sys.sparseDir(0)->stats().refusals, 0u);
+    ASSERT_NE(sys.dirOrg(0), nullptr);
+    EXPECT_GT(sys.dirOrg(0)->orgStats().refusals, 0u);
+    EXPECT_EQ(sys.dirOrg(0)->orgStats().forcedInvalidations, 0u);
     std::uint32_t in_llc = 0;
     for (std::uint32_t i = 0; i < 12; ++i) {
         Tracking trk = sys.peekTracking(0, dirConflictBlock(i, 0, 0, 1));

@@ -105,6 +105,7 @@ TEST(Reporting, ZeroDevDumpExposesDirAndLlcOccupancy)
     const StatDump d = sys.report();
     EXPECT_TRUE(d.has("s0.dir.live"));
     EXPECT_TRUE(d.has("s0.dir.refusals"));
+    EXPECT_FALSE(d.has("s0.dir.forced_invs"));
     EXPECT_TRUE(d.has("s0.llc.peak_de_lines"));
     EXPECT_GT(d.get("s0.llc.peak_de_lines"), 0.0);
 }

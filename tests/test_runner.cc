@@ -172,6 +172,12 @@ TEST(Experiment, SpeedupArithmetic)
     test.coreInstructions = {1000, 2000};
     // Core 0 doubled its IPC, core 1 halved it: WS = (2 + 0.5)/2.
     EXPECT_DOUBLE_EQ(weightedSpeedup(base, test), 1.25);
+    EXPECT_DOUBLE_EQ(weightedSpeedup(base, base), 1.0);
+
+    base.coreInstructions = {1000, 500}; // IPC 1.0, 0.5
+    test.coreCycles = {500, 1000};
+    test.coreInstructions = {1000, 500}; // IPC 2.0, 0.5
+    EXPECT_DOUBLE_EQ(weightedSpeedup(base, test), 1.5);
 }
 
 TEST(Experiment, TableRendersAlignedColumns)

@@ -1,6 +1,6 @@
 /**
  * @file
- * Snapshot round-trip and rejection tests for the zerodev-snapshot-v1
+ * Snapshot round-trip and rejection tests for the zerodev-snapshot-v2
  * container (sim/snapshot.hh) and the full-system serializer
  * (CmpSystem::saveState/restoreState).
  *
