@@ -85,9 +85,11 @@ beginTelemetryJob(const SystemConfig &cfg, const Workload &w,
 }
 
 /**
- * One run on a fresh system. Latency attribution costs a few array adds
- * per transaction, so it is only attached when the reports that would
- * carry it are actually written — and never when checkpointing is on:
+ * One run on a fresh system. Every access composes its latency chain
+ * anyway; recording the chains costs a histogram update per touched
+ * component per transaction, so the profiler is only attached when the
+ * reports that would carry it are actually written — and never when
+ * checkpointing is on:
  * profiler state is not part of a snapshot, so a resumed run with a
  * profiler attached would report tail-only attribution and break the
  * bit-identical-resume contract for the written reports.

@@ -67,7 +67,7 @@ const char *const kUsage =
     "      generate a reproducible access trace\n"
     "  info <file>\n"
     "      summarise a binary access trace\n"
-    "  replay <file> [baseline|unbounded|zerodev]\n"
+    "  replay <file> [baseline|unbounded|zerodev|dls|phasepri]\n"
     "      [--snapshot FILE [--every N]] [--restore FILE]\n"
     "      replay a trace on a system configuration. --snapshot writes\n"
     "      zerodev-snapshot-v2 checkpoints every N accesses (a \"{n}\"\n"
@@ -75,7 +75,7 @@ const char *const kUsage =
     "      ZERODEV_SNAPSHOT_EVERY); --restore resumes bit-identically\n"
     "      from a checkpoint\n"
     "  sim <app> <cores> <accesses-per-core> <outdir>\n"
-    "      [baseline|unbounded|zerodev]\n"
+    "      [baseline|unbounded|zerodev|dls|phasepri]\n"
     "      run with tracer+sampler+latency profiler attached; writes\n"
     "      trace.json, trace.jsonl, intervals.csv/json, report.json\n"
     "  inspect <trace.jsonl>\n"
@@ -194,7 +194,9 @@ cmdInfo(int argc, char **argv)
     return kExitOk;
 }
 
-/** nullopt for an unknown organisation name (a usage error). */
+/** nullopt for an unknown organisation name (a usage error). The
+ *  rival protocol backends count as organisations here: DLS has no
+ *  directory, phase-priority replaces the sparse one. */
 std::optional<SystemConfig>
 configFor(const char *org)
 {
@@ -203,10 +205,25 @@ configFor(const char *org)
         cfg.dirOrg = DirOrg::Unbounded;
     } else if (!std::strcmp(org, "zerodev")) {
         applyZeroDev(cfg, 0.0);
+    } else if (!std::strcmp(org, "dls")) {
+        cfg.protocol = ProtocolKind::Dls;
+    } else if (!std::strcmp(org, "phasepri")) {
+        cfg.protocol = ProtocolKind::PhasePriority;
     } else if (std::strcmp(org, "baseline") != 0) {
         return std::nullopt;
     }
     return cfg;
+}
+
+constexpr const char *kOrgNames = "baseline|unbounded|zerodev|dls|phasepri";
+
+/** What the console calls a config: its directory organisation, or the
+ *  rival backend that replaces the MESI directory family. */
+const char *
+orgLabel(const SystemConfig &cfg)
+{
+    return cfg.protocol == ProtocolKind::MesiZeroDev ? toString(cfg.dirOrg)
+                                                     : toString(cfg.protocol);
 }
 
 int
@@ -239,7 +256,7 @@ cmdReplay(int argc, char **argv)
     }
     const auto cfg = configFor(org);
     if (!cfg)
-        return usage("replay: org must be baseline|unbounded|zerodev");
+        return usage((std::string("replay: org must be ") + kOrgNames).c_str());
     const TraceReader trace = TraceReader::mustLoad(argv[2]);
     CmpSystem sys(*cfg);
     if (trace.cores() > sys.totalCores()) {
@@ -272,7 +289,7 @@ cmdReplay(int argc, char **argv)
     const RunResult r = replay(sys, trace, rc);
     std::printf("org: %s\ncycles: %llu\ncore cache misses: %llu\n"
                 "traffic bytes: %llu\nDEV invalidations: %llu\n",
-                toString(cfg->dirOrg),
+                orgLabel(*cfg),
                 static_cast<unsigned long long>(r.cycles),
                 static_cast<unsigned long long>(r.coreCacheMisses),
                 static_cast<unsigned long long>(r.trafficBytes),
@@ -300,7 +317,7 @@ cmdSim(int argc, char **argv)
 
     const auto maybe_cfg = configFor(org);
     if (!maybe_cfg)
-        return usage("sim: org must be baseline|unbounded|zerodev");
+        return usage((std::string("sim: org must be ") + kOrgNames).c_str());
     const SystemConfig &cfg = *maybe_cfg;
     const Workload w = p.suite == "cpu2017"
                            ? Workload::rate(p, *cores)
@@ -326,13 +343,21 @@ cmdSim(int argc, char **argv)
                     sampler.writeJson(outdir + "/intervals.json") &&
                     obs::writeRunReport(outdir + "/report.json", cfg, r);
 
-    std::printf("org: %s  cycles: %llu  DEVs: %llu\n", toString(cfg.dirOrg),
+    std::printf("org: %s  cycles: %llu  DEVs: %llu\n", orgLabel(cfg),
                 static_cast<unsigned long long>(r.cycles),
                 static_cast<unsigned long long>(r.devInvalidations));
     std::printf("trace: %llu events recorded, %llu dropped (ring %zu)\n",
                 static_cast<unsigned long long>(tracer.recorded()),
                 static_cast<unsigned long long>(tracer.dropped()),
                 tracer.capacity());
+    if (tracer.dropped() > 0) {
+        std::fprintf(stderr,
+                     "trace_tool: warning: the trace ring dropped %llu "
+                     "events; trace.json/trace.jsonl hold only the newest "
+                     "%zu\n",
+                     static_cast<unsigned long long>(tracer.dropped()),
+                     tracer.capacity());
+    }
     std::printf("intervals: %zu samples every %llu cycles\n",
                 sampler.samples().size(),
                 static_cast<unsigned long long>(sampler.interval()));

@@ -13,18 +13,18 @@
 namespace zerodev
 {
 
-Cycle
+void
 MesiZeroDevBackend::miss(SocketId s, CoreId c, AccessType type,
-                         BlockAddr block, Cycle now)
+                         BlockAddr block, obs::LatencyChain &ch)
 {
-    return sys_.handleMiss(*sys_.sockets_[s], c, type, block, now);
+    sys_.handleMiss(*sys_.sockets_[s], c, type, block, ch);
 }
 
-Cycle
+void
 MesiZeroDevBackend::upgrade(SocketId s, CoreId c, BlockAddr block,
-                            Cycle now)
+                            obs::LatencyChain &ch)
 {
-    return sys_.handleUpgrade(*sys_.sockets_[s], c, block, now);
+    sys_.handleUpgrade(*sys_.sockets_[s], c, block, ch);
 }
 
 void

@@ -52,15 +52,16 @@ class ProtocolBackend
 
     virtual const char *name() const = 0;
 
-    /** Serve a core cache miss; returns the completion cycle. The
-     *  backend classifies Memory/Corrupted flows itself (finishAccess);
-     *  the caller classifies the remainder from the hop counters. */
-    virtual Cycle miss(SocketId s, CoreId c, AccessType type,
-                       BlockAddr block, Cycle now) = 0;
+    /** Serve a core cache miss, extending the access's latency chain
+     *  from its running time. The chain arrives classed TwoHop; a flow
+     *  that forwards, reads memory or takes a corrupted-block response
+     *  reclasses it. */
+    virtual void miss(SocketId s, CoreId c, AccessType type,
+                      BlockAddr block, obs::LatencyChain &ch) = 0;
 
     /** Serve an S->M upgrade of a block the core already holds. */
-    virtual Cycle upgrade(SocketId s, CoreId c, BlockAddr block,
-                          Cycle now) = 0;
+    virtual void upgrade(SocketId s, CoreId c, BlockAddr block,
+                         obs::LatencyChain &ch) = 0;
 
     /** Handle a private-cache victim produced by a core fill. */
     virtual void privateEviction(SocketId s, CoreId c,
@@ -86,10 +87,10 @@ class MesiZeroDevBackend final : public ProtocolBackend
     explicit MesiZeroDevBackend(CmpSystem &sys) : ProtocolBackend(sys) {}
 
     const char *name() const override { return "mesi-zerodev"; }
-    Cycle miss(SocketId s, CoreId c, AccessType type, BlockAddr block,
-               Cycle now) override;
-    Cycle upgrade(SocketId s, CoreId c, BlockAddr block,
-                  Cycle now) override;
+    void miss(SocketId s, CoreId c, AccessType type, BlockAddr block,
+              obs::LatencyChain &ch) override;
+    void upgrade(SocketId s, CoreId c, BlockAddr block,
+                 obs::LatencyChain &ch) override;
     void privateEviction(SocketId s, CoreId c, const PrivateEviction &ev,
                          Cycle now) override;
 };
@@ -101,10 +102,10 @@ class DlsBackend final : public ProtocolBackend
     explicit DlsBackend(CmpSystem &sys) : ProtocolBackend(sys) {}
 
     const char *name() const override { return "DLS"; }
-    Cycle miss(SocketId s, CoreId c, AccessType type, BlockAddr block,
-               Cycle now) override;
-    Cycle upgrade(SocketId s, CoreId c, BlockAddr block,
-                  Cycle now) override;
+    void miss(SocketId s, CoreId c, AccessType type, BlockAddr block,
+              obs::LatencyChain &ch) override;
+    void upgrade(SocketId s, CoreId c, BlockAddr block,
+                 obs::LatencyChain &ch) override;
     void privateEviction(SocketId s, CoreId c, const PrivateEviction &ev,
                          Cycle now) override;
 
@@ -124,6 +125,10 @@ class DlsBackend final : public ProtocolBackend
     Cycle invalidateOthers(CmpSystem::Socket &s, CoreId c, BlockAddr block,
                            Cycle base);
 
+    /** The bank forwards to @p holder, which supplies @p c directly. */
+    void forwardTo(CmpSystem::Socket &s, CoreId holder, CoreId c,
+                   BlockAddr block, obs::LatencyChain &ch) const;
+
     std::uint64_t broadcastProbes_ = 0; //!< core scans on the miss path
     std::uint64_t snoopSupplies_ = 0;   //!< misses served core-to-core
 };
@@ -139,10 +144,10 @@ class PhasePriorityBackend final : public ProtocolBackend
     explicit PhasePriorityBackend(CmpSystem &sys);
 
     const char *name() const override { return "phase-priority"; }
-    Cycle miss(SocketId s, CoreId c, AccessType type, BlockAddr block,
-               Cycle now) override;
-    Cycle upgrade(SocketId s, CoreId c, BlockAddr block,
-                  Cycle now) override;
+    void miss(SocketId s, CoreId c, AccessType type, BlockAddr block,
+              obs::LatencyChain &ch) override;
+    void upgrade(SocketId s, CoreId c, BlockAddr block,
+                 obs::LatencyChain &ch) override;
     void privateEviction(SocketId s, CoreId c, const PrivateEviction &ev,
                          Cycle now) override;
 

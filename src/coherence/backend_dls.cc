@@ -27,8 +27,12 @@
 
 #include <algorithm>
 
+#include "obs/latency.hh"
+
 namespace zerodev
 {
+
+using obs::LatComp;
 
 CoreId
 DlsBackend::findHolder(CmpSystem::Socket &s, CoreId except, BlockAddr block,
@@ -72,18 +76,27 @@ DlsBackend::invalidateOthers(CmpSystem::Socket &s, CoreId c,
     return done;
 }
 
-Cycle
-DlsBackend::miss(SocketId sid, CoreId c, AccessType type, BlockAddr block,
-                 Cycle now)
+void
+DlsBackend::forwardTo(CmpSystem::Socket &s, CoreId holder, CoreId c,
+                      BlockAddr block, obs::LatencyChain &ch) const
 {
+    ch.add(LatComp::Mesh, sys_.meshBankToCore(s, block, holder));
+    ch.add(LatComp::CoreLookup, s.cores[holder].l2Cycles());
+    ch.add(LatComp::Mesh, sys_.meshCoreToCore(s, holder, c));
+}
+
+void
+DlsBackend::miss(SocketId sid, CoreId c, AccessType type, BlockAddr block,
+                 obs::LatencyChain &ch)
+{
+    const Cycle now = ch.now();
     CmpSystem::Socket &s = *sys_.sockets_[sid];
     PrivateCache &pc = s.cores[c];
-    const Cycle lookup = pc.l1Cycles() + pc.l2Cycles();
-    const Cycle to_bank = sys_.meshCoreToBank(s, c, block);
-    Cycle base = now + lookup + to_bank;
+    ch.add(LatComp::CoreLookup, pc.l1Cycles() + pc.l2Cycles());
+    ch.add(LatComp::Mesh, sys_.meshCoreToBank(s, c, block));
     CmpSystem::send(s, type == AccessType::Store ? MsgType::GetX
                                                  : MsgType::GetS);
-    base += s.llc.tagCycles();
+    ch.add(LatComp::DirLookup, s.llc.tagCycles());
 
     LlcProbe probe = s.llc.probe(block);
     LlcLine *data = probe.data && probe.data->kind == LlcLineKind::Data
@@ -99,10 +112,10 @@ DlsBackend::miss(SocketId sid, CoreId c, AccessType type, BlockAddr block,
             s.llc.touchData(probe);
             ++sys_.proto_.twoHopReads;
             CmpSystem::send(s, MsgType::DataResp);
-            const Cycle lat =
-                base + s.llc.dataCycles() + sys_.meshBankToCore(s, block, c);
+            ch.add(LatComp::LlcData, s.llc.dataCycles());
+            ch.add(LatComp::Mesh, sys_.meshBankToCore(s, block, c));
             sys_.fillCore(s, c, type, block, MesiState::Shared, now);
-            return lat;
+            return;
         }
         s.llc.noteDataMiss();
         ++broadcastProbes_;
@@ -113,29 +126,29 @@ DlsBackend::miss(SocketId sid, CoreId c, AccessType type, BlockAddr block,
             // requester directly; an M owner downgrades and its dirty
             // data refills the LLC.
             ++sys_.proto_.threeHopReads;
+            ch.cls = AccessClass::ThreeHop;
             ++snoopSupplies_;
             CmpSystem::send(s, MsgType::FwdGetS);
             CmpSystem::send(s, MsgType::DataResp);
-            const Cycle lat = base + sys_.meshBankToCore(s, block, holder) +
-                              s.cores[holder].l2Cycles() +
-                              sys_.meshCoreToCore(s, holder, c);
+            forwardTo(s, holder, c, block, ch);
             if (owned) {
                 const MesiState prev = s.cores[holder].downgrade(block);
                 sys_.llcWritebackData(s, block,
                                       prev == MesiState::Modified, now);
             }
             sys_.fillCore(s, c, type, block, MesiState::Shared, now);
-            return lat;
+            return;
         }
         // Memory fill; nothing on chip holds the block.
         ++sys_.proto_.socketMisses;
         CmpSystem::send(s, MsgType::MemRead);
         CmpSystem::send(s, MsgType::MemReadResp);
-        const Cycle mem_done = s.dram.read(block, base, false);
-        const Cycle lat = mem_done + sys_.meshBankToCore(s, block, c);
+        ch.join(LatComp::Dram, s.dram.read(block, ch.now(), false));
+        ch.add(LatComp::Mesh, sys_.meshBankToCore(s, block, c));
         sys_.llcAllocData(s, block, false, now, true);
         sys_.fillCore(s, c, type, block, MesiState::Shared, now);
-        return sys_.finishAccess(AccessClass::Memory, now, lat);
+        ch.cls = AccessClass::Memory;
+        return;
     }
 
     // Store miss: the serializing bank invalidates every holder and the
@@ -143,55 +156,50 @@ DlsBackend::miss(SocketId sid, CoreId c, AccessType type, BlockAddr block,
     ++broadcastProbes_;
     bool owned = false;
     const CoreId holder = findHolder(s, c, block, &owned);
-    const Cycle inv_done = invalidateOthers(s, c, block, base);
+    const Cycle inv_done = invalidateOthers(s, c, block, ch.now());
 
-    bool memory_fill = false;
-    Cycle data_ready;
     if (data) {
         s.llc.noteDataHit();
         s.llc.noteDataRead();
         CmpSystem::send(s, MsgType::DataResp);
-        data_ready =
-            base + s.llc.dataCycles() + sys_.meshBankToCore(s, block, c);
+        ch.add(LatComp::LlcData, s.llc.dataCycles());
+        ch.add(LatComp::Mesh, sys_.meshBankToCore(s, block, c));
         s.llc.invalidateLine(*data);
     } else if (holder != kInvalidCore) {
         s.llc.noteDataMiss();
         ++sys_.proto_.threeHopReads;
+        ch.cls = AccessClass::ThreeHop;
         ++snoopSupplies_;
         CmpSystem::send(s, MsgType::FwdGetX);
         CmpSystem::send(s, MsgType::DataResp);
         // The holder's data rides with its acknowledgment.
-        data_ready = base + sys_.meshBankToCore(s, block, holder) +
-                     s.cores[holder].l2Cycles() +
-                     sys_.meshCoreToCore(s, holder, c);
+        forwardTo(s, holder, c, block, ch);
     } else {
         s.llc.noteDataMiss();
         ++sys_.proto_.socketMisses;
-        memory_fill = true;
+        ch.cls = AccessClass::Memory;
         CmpSystem::send(s, MsgType::MemRead);
         CmpSystem::send(s, MsgType::MemReadResp);
-        const Cycle mem_done = s.dram.read(block, base, false);
-        data_ready = mem_done + sys_.meshBankToCore(s, block, c);
+        ch.join(LatComp::Dram, s.dram.read(block, ch.now(), false));
+        ch.add(LatComp::Mesh, sys_.meshBankToCore(s, block, c));
     }
 
-    const Cycle lat = std::max(data_ready, inv_done);
+    ch.join(LatComp::InvStall, inv_done);
     sys_.fillCore(s, c, type, block, MesiState::Modified, now);
-    if (memory_fill)
-        return sys_.finishAccess(AccessClass::Memory, now, lat);
-    return lat;
 }
 
-Cycle
-DlsBackend::upgrade(SocketId sid, CoreId c, BlockAddr block, Cycle now)
+void
+DlsBackend::upgrade(SocketId sid, CoreId c, BlockAddr block,
+                    obs::LatencyChain &ch)
 {
     CmpSystem::Socket &s = *sys_.sockets_[sid];
     PrivateCache &pc = s.cores[c];
-    const Cycle lookup = pc.l1Cycles() + pc.l2Cycles();
-    const Cycle to_bank = sys_.meshCoreToBank(s, c, block);
-    Cycle base = now + lookup + to_bank + s.llc.tagCycles();
+    ch.add(LatComp::CoreLookup, pc.l1Cycles() + pc.l2Cycles());
+    ch.add(LatComp::Mesh, sys_.meshCoreToBank(s, c, block));
+    ch.add(LatComp::DirLookup, s.llc.tagCycles());
     CmpSystem::send(s, MsgType::Upgrade);
 
-    const Cycle inv_done = invalidateOthers(s, c, block, base);
+    const Cycle inv_done = invalidateOthers(s, c, block, ch.now());
 
     // The writer takes exclusivity: the LLC data line leaves with it.
     LlcProbe probe = s.llc.probe(block);
@@ -199,10 +207,9 @@ DlsBackend::upgrade(SocketId sid, CoreId c, BlockAddr block, Cycle now)
         s.llc.invalidateLine(*probe.data);
 
     CmpSystem::send(s, MsgType::AckResp);
-    const Cycle lat =
-        std::max(base + sys_.meshBankToCore(s, block, c), inv_done);
+    ch.add(LatComp::Mesh, sys_.meshBankToCore(s, block, c));
+    ch.join(LatComp::InvStall, inv_done);
     pc.upgradeToModified(block);
-    return lat;
 }
 
 void

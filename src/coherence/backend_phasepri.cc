@@ -25,6 +25,7 @@
 #include <algorithm>
 
 #include "common/log.hh"
+#include "obs/latency.hh"
 
 namespace zerodev
 {
@@ -79,33 +80,31 @@ PhasePriorityBackend::notePhase(std::uint8_t phase)
         org->notePhase(phase);
 }
 
-Cycle
+void
 PhasePriorityBackend::miss(SocketId sid, CoreId c, AccessType type,
-                           BlockAddr block, Cycle now)
+                           BlockAddr block, obs::LatencyChain &ch)
 {
     CmpSystem::Socket &s = *sys_.sockets_[sid];
     const std::uint8_t phase = phaseOf(type);
     notePhase(phase);
     const std::uint32_t bank =
         sid * sys_.cfg_.llcBanks + s.llc.bankOfBlock(block);
-    const Cycle start = admit(bank, phase, now);
-    const Cycle done = sys_.handleMiss(s, c, type, block, start);
-    complete(bank, phase, done);
-    return done;
+    ch.join(obs::LatComp::QueueWait, admit(bank, phase, ch.now()));
+    sys_.handleMiss(s, c, type, block, ch);
+    complete(bank, phase, ch.now());
 }
 
-Cycle
+void
 PhasePriorityBackend::upgrade(SocketId sid, CoreId c, BlockAddr block,
-                              Cycle now)
+                              obs::LatencyChain &ch)
 {
     CmpSystem::Socket &s = *sys_.sockets_[sid];
     notePhase(0); // upgrades are stores
     const std::uint32_t bank =
         sid * sys_.cfg_.llcBanks + s.llc.bankOfBlock(block);
-    const Cycle start = admit(bank, 0, now);
-    const Cycle done = sys_.handleUpgrade(s, c, block, start);
-    complete(bank, 0, done);
-    return done;
+    ch.join(obs::LatComp::QueueWait, admit(bank, 0, ch.now()));
+    sys_.handleUpgrade(s, c, block, ch);
+    complete(bank, 0, ch.now());
 }
 
 void

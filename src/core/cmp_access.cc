@@ -18,23 +18,23 @@
 namespace zerodev
 {
 
-Cycle
+using obs::LatComp;
+
+void
 CmpSystem::handleMiss(Socket &s, CoreId c, AccessType type,
-                      BlockAddr block, Cycle now)
+                      BlockAddr block, obs::LatencyChain &ch)
 {
+    const Cycle now = ch.now();
     PrivateCache &pc = s.cores[c];
     // Miss detection in L1+L2, then the request crosses the mesh to the
     // home bank where the LLC tag array and the directory slice are
     // looked up in parallel (Section III-A).
-    const Cycle lookup = pc.l1Cycles() + pc.l2Cycles();
-    const Cycle to_bank = meshCoreToBank(s, c, block);
-    Cycle base = now + lookup + to_bank;
-    ZDEV_LAT(lat_, obs::LatComp::CoreLookup, lookup);
-    ZDEV_LAT(lat_, obs::LatComp::Mesh, to_bank);
+    ch.add(LatComp::CoreLookup, pc.l1Cycles() + pc.l2Cycles());
+    ch.add(LatComp::Mesh, meshCoreToBank(s, c, block));
     send(s, type == AccessType::Store ? MsgType::GetX
                                                : MsgType::GetS);
-    base += s.llc.tagCycles();
-    ZDEV_LAT(lat_, obs::LatComp::DirLookup, s.llc.tagCycles());
+    ch.add(LatComp::DirLookup, s.llc.tagCycles());
+    const Cycle base = ch.now();
 
     Tracking trk = findTracking(s, block);
     LlcProbe probe = s.llc.probe(block);
@@ -42,8 +42,10 @@ CmpSystem::handleMiss(Socket &s, CoreId c, AccessType type,
                obs::TraceComp::Directory, s.id, c, block, base, 0,
                static_cast<std::uint32_t>(trk.where), txn_);
 
-    if (trk.found())
-        return serveTracked(s, c, type, block, now, trk, probe, base);
+    if (trk.found()) {
+        serveTracked(s, c, type, block, now, trk, probe, ch);
+        return;
+    }
 
     if (probe.data && probe.data->kind == LlcLineKind::Data) {
         // LLC data hit with no in-socket directory entry. The dataLRU /
@@ -53,10 +55,8 @@ CmpSystem::handleMiss(Socket &s, CoreId c, AccessType type,
         s.llc.noteDataRead();
         const bool global_shared = probe.data->globalShared;
         s.llc.touchData(probe);
-        const Cycle back = meshBankToCore(s, block, c);
-        Cycle lat = base + s.llc.dataCycles() + back;
-        ZDEV_LAT(lat_, obs::LatComp::LlcData, s.llc.dataCycles());
-        ZDEV_LAT(lat_, obs::LatComp::Mesh, back);
+        ch.add(LatComp::LlcData, s.llc.dataCycles());
+        ch.add(LatComp::Mesh, meshBankToCore(s, block, c));
         send(s, MsgType::DataResp);
         ++proto_.twoHopReads;
 
@@ -64,10 +64,8 @@ CmpSystem::handleMiss(Socket &s, CoreId c, AccessType type,
         DirEntry entry;
         if (type == AccessType::Store) {
             if (cfg_.sockets > 1 && global_shared) {
-                const Cycle data_path = lat;
-                lat = std::max(lat, base + invalidateRemoteSharers(
-                                        s, block, now));
-                ZDEV_LAT(lat_, obs::LatComp::InvStall, lat - data_path);
+                ch.join(LatComp::InvStall,
+                        base + invalidateRemoteSharers(s, block, now));
             }
             fill = MesiState::Modified;
             entry.makeOwned(c);
@@ -91,25 +89,23 @@ CmpSystem::handleMiss(Socket &s, CoreId c, AccessType type,
 
         writeTracking(s, block, TrackWhere::None, entry, now);
         fillCore(s, c, type, block, fill, now);
-        return lat;
+        return;
     }
 
     s.llc.noteDataMiss();
-    return serveSocketMiss(s, c, type, block, now, base);
+    serveSocketMiss(s, c, type, block, now, ch);
 }
 
-Cycle
-CmpSystem::handleUpgrade(Socket &s, CoreId c, BlockAddr block, Cycle now)
+void
+CmpSystem::handleUpgrade(Socket &s, CoreId c, BlockAddr block,
+                         obs::LatencyChain &ch)
 {
+    const Cycle now = ch.now();
     PrivateCache &pc = s.cores[c];
-    const Cycle lookup = pc.l1Cycles() + pc.l2Cycles();
-    const Cycle to_bank = meshCoreToBank(s, c, block);
-    Cycle base = now + lookup + to_bank;
-    ZDEV_LAT(lat_, obs::LatComp::CoreLookup, lookup);
-    ZDEV_LAT(lat_, obs::LatComp::Mesh, to_bank);
+    ch.add(LatComp::CoreLookup, pc.l1Cycles() + pc.l2Cycles());
+    ch.add(LatComp::Mesh, meshCoreToBank(s, c, block));
     send(s, MsgType::Upgrade);
-    base += s.llc.tagCycles();
-    ZDEV_LAT(lat_, obs::LatComp::DirLookup, s.llc.tagCycles());
+    ch.add(LatComp::DirLookup, s.llc.tagCycles());
 
     Tracking trk = findTracking(s, block);
     if (!trk.found()) {
@@ -117,26 +113,20 @@ CmpSystem::handleUpgrade(Socket &s, CoreId c, BlockAddr block, Cycle now)
         // the corrupted-block special response. The requester is a
         // sharer, so the home returns its segment (Figure 15, step 3).
         Socket &h = home(block);
-        Cycle mem_base = base;
         if (h.id != s.id) {
-            mem_base += cfg_.interSocketCycles;
-            ZDEV_LAT(lat_, obs::LatComp::InterSocket,
-                     cfg_.interSocketCycles);
+            ch.add(LatComp::InterSocket, cfg_.interSocketCycles);
             send(s, MsgType::GetDe);
         }
-        auto entry = extractEntryFromMemory(s, block, mem_base);
+        auto entry = extractEntryFromMemory(s, block, ch.now());
         if (!entry)
             panic("upgrade with no directory entry anywhere for block "
                   "%#llx", static_cast<unsigned long long>(block));
         ++proto_.corruptedResponses;
         send(h, MsgType::DataRespCorrupted);
-        base = h.dram.read(block, mem_base, true) + 1; // +1: extraction
-        ZDEV_LAT(lat_, obs::LatComp::DeMemory, base - mem_base);
-        if (h.id != s.id) {
-            base += cfg_.interSocketCycles;
-            ZDEV_LAT(lat_, obs::LatComp::InterSocket,
-                     cfg_.interSocketCycles);
-        }
+        ch.join(LatComp::DeMemory,
+                h.dram.read(block, ch.now(), true) + 1); // +1: extraction
+        if (h.id != s.id)
+            ch.add(LatComp::InterSocket, cfg_.interSocketCycles);
         trk.where = TrackWhere::None;
         trk.entry = *entry;
     }
@@ -149,13 +139,13 @@ CmpSystem::handleUpgrade(Socket &s, CoreId c, BlockAddr block, Cycle now)
     // III-C2: "for upgrade requests, only EB is read out").
     if (trk.where == TrackWhere::LlcSpilled ||
         trk.where == TrackWhere::LlcFused) {
-        base += s.llc.dataCycles();
+        ch.add(LatComp::FuseSpill, s.llc.dataCycles());
         s.llc.noteDataRead();
-        ZDEV_LAT(lat_, obs::LatComp::FuseSpill, s.llc.dataCycles());
     }
 
     // Invalidate the other sharers; the dataless response carries the
     // expected acknowledgment count.
+    const Cycle base = ch.now();
     Cycle inv_done = base;
     forEachSetBit(entry.sharers, [&](CoreId x) {
         if (x == c)
@@ -168,26 +158,24 @@ CmpSystem::handleUpgrade(Socket &s, CoreId c, BlockAddr block, Cycle now)
                                 meshCoreToCore(s, x, c));
     });
     send(s, MsgType::AckResp);
-    const Cycle back = meshBankToCore(s, block, c);
-    ZDEV_LAT(lat_, obs::LatComp::Mesh, back);
-    Cycle lat = std::max(base + back, inv_done);
-
-    if (cfg_.sockets > 1)
-        lat = std::max(lat, base + invalidateRemoteSharers(s, block, now));
-    ZDEV_LAT(lat_, obs::LatComp::InvStall, lat - (base + back));
+    ch.add(LatComp::Mesh, meshBankToCore(s, block, c));
+    ch.join(LatComp::InvStall, inv_done);
+    if (cfg_.sockets > 1) {
+        ch.join(LatComp::InvStall,
+                base + invalidateRemoteSharers(s, block, now));
+    }
 
     entry.makeOwned(c);
     if (cfg_.llcFlavor == LlcFlavor::Epd)
         epdDeallocate(s, block);
     writeTracking(s, block, trk.where, entry, now);
     s.cores[c].upgradeToModified(block);
-    return lat;
 }
 
-Cycle
+void
 CmpSystem::serveTracked(Socket &s, CoreId c, AccessType type,
                         BlockAddr block, Cycle now, Tracking &trk,
-                        LlcProbe &probe, Cycle base)
+                        LlcProbe &probe, obs::LatencyChain &ch)
 {
     DirEntry entry = trk.entry;
     const bool data_in_llc =
@@ -196,6 +184,7 @@ CmpSystem::serveTracked(Socket &s, CoreId c, AccessType type,
         probe.data && probe.data->kind == LlcLineKind::FusedDe;
     const bool two_tag_match = probe.data && probe.spilled;
     const bool llc_global_shared = probe.data && probe.data->globalShared;
+    const Cycle base = ch.now();
 
     if (entry.state == DirState::Owned) {
         const CoreId o = entry.owner();
@@ -203,14 +192,12 @@ CmpSystem::serveTracked(Socket &s, CoreId c, AccessType type,
             panic("owner missed on its own block");
         // Three-hop transaction: forward to the owner, which responds to
         // the requester directly and sends busy-clear to the home.
-        const Cycle fwd = meshBankToCore(s, block, o);
-        const Cycle resp = meshCoreToCore(s, o, c);
-        Cycle lat = base + fwd + s.cores[o].l2Cycles() + resp;
-        ZDEV_LAT(lat_, obs::LatComp::Mesh, fwd + resp);
-        ZDEV_LAT(lat_, obs::LatComp::CoreLookup, s.cores[o].l2Cycles());
+        ch.add(LatComp::Mesh, meshBankToCore(s, block, o));
+        ch.add(LatComp::CoreLookup, s.cores[o].l2Cycles());
+        ch.add(LatComp::Mesh, meshCoreToCore(s, o, c));
         ZDEV_TRACE(trc_, obs::TraceEventKind::Forward,
-                   obs::TraceComp::Mesh, s.id, c, block, base, lat - base,
-                   o, txn_);
+                   obs::TraceComp::Mesh, s.id, c, block, base,
+                   ch.now() - base, o, txn_);
 
         if (type == AccessType::Store) {
             send(s, MsgType::FwdGetX);
@@ -219,15 +206,14 @@ CmpSystem::serveTracked(Socket &s, CoreId c, AccessType type,
             s.cores[o].invalidate(block, false);
             entry.makeOwned(c);
             if (cfg_.sockets > 1 && llc_global_shared) {
-                const Cycle data_path = lat;
-                lat = std::max(lat, base + invalidateRemoteSharers(
-                                        s, block, now));
-                ZDEV_LAT(lat_, obs::LatComp::InvStall, lat - data_path);
+                ch.join(LatComp::InvStall,
+                        base + invalidateRemoteSharers(s, block, now));
             }
             writeTracking(s, block, trk.where, entry, now);
             fillCore(s, c, type, block, MesiState::Modified, now);
         } else {
             ++proto_.threeHopReads;
+            ch.cls = AccessClass::ThreeHop;
             send(s, MsgType::FwdGetS);
             send(s, MsgType::DataResp);
             // The busy-clear carries reconstruction bits when the entry
@@ -252,7 +238,7 @@ CmpSystem::serveTracked(Socket &s, CoreId c, AccessType type,
             }
             fillCore(s, c, type, block, MesiState::Shared, now);
         }
-        return lat;
+        return;
     }
 
     // entry.state == Shared.
@@ -260,22 +246,17 @@ CmpSystem::serveTracked(Socket &s, CoreId c, AccessType type,
         // Read-exclusive to a shared block: invalidations to all sharers
         // plus data. With a spilled entry both the block and the entry
         // are read out one by one (Section III-C2).
-        Cycle data_ready;
         if (data_in_llc) {
             s.llc.noteDataHit();
             s.llc.noteDataRead();
             s.llc.touchData(probe);
-            Cycle read = s.llc.dataCycles();
-            ZDEV_LAT(lat_, obs::LatComp::LlcData, s.llc.dataCycles());
+            ch.add(LatComp::LlcData, s.llc.dataCycles());
             if (two_tag_match) {
-                read += s.llc.dataCycles(); // entry + block, serialised
+                // entry + block, serialised
+                ch.add(LatComp::FuseSpill, s.llc.dataCycles());
                 s.llc.noteDataRead();
-                ZDEV_LAT(lat_, obs::LatComp::FuseSpill,
-                         s.llc.dataCycles());
             }
-            const Cycle back = meshBankToCore(s, block, c);
-            ZDEV_LAT(lat_, obs::LatComp::Mesh, back);
-            data_ready = base + read + back;
+            ch.add(LatComp::Mesh, meshBankToCore(s, block, c));
             send(s, MsgType::DataResp);
         } else {
             // No usable data in the LLC (absent, or corrupted by a
@@ -284,12 +265,9 @@ CmpSystem::serveTracked(Socket &s, CoreId c, AccessType type,
             const CoreId x = entry.anySharer();
             send(s, MsgType::FwdGetX);
             send(s, MsgType::DataResp);
-            const Cycle fwd = meshBankToCore(s, block, x);
-            const Cycle resp = meshCoreToCore(s, x, c);
-            ZDEV_LAT(lat_, obs::LatComp::Mesh, fwd + resp);
-            ZDEV_LAT(lat_, obs::LatComp::CoreLookup,
-                     s.cores[x].l2Cycles());
-            data_ready = base + fwd + s.cores[x].l2Cycles() + resp;
+            ch.add(LatComp::Mesh, meshBankToCore(s, block, x));
+            ch.add(LatComp::CoreLookup, s.cores[x].l2Cycles());
+            ch.add(LatComp::Mesh, meshCoreToCore(s, x, c));
         }
         Cycle inv_done = base;
         forEachSetBit(entry.sharers, [&](CoreId x) {
@@ -300,40 +278,35 @@ CmpSystem::serveTracked(Socket &s, CoreId c, AccessType type,
                                 base + meshBankToCore(s, block, x) +
                                     meshCoreToCore(s, x, c));
         });
-        Cycle lat = std::max(data_ready, inv_done);
-        if (cfg_.sockets > 1 && (llc_global_shared || !data_in_llc))
-            lat = std::max(lat,
-                           base + invalidateRemoteSharers(s, block, now));
-        ZDEV_LAT(lat_, obs::LatComp::InvStall, lat - data_ready);
+        ch.join(LatComp::InvStall, inv_done);
+        if (cfg_.sockets > 1 && (llc_global_shared || !data_in_llc)) {
+            ch.join(LatComp::InvStall,
+                    base + invalidateRemoteSharers(s, block, now));
+        }
         entry.makeOwned(c);
         if (cfg_.llcFlavor == LlcFlavor::Epd)
             epdDeallocate(s, block);
         writeTracking(s, block, trk.where, entry, now);
         fillCore(s, c, type, block, MesiState::Modified, now);
-        return lat;
+        return;
     }
 
     // Read (or instruction fetch) of a shared block.
-    Cycle lat;
     if (data_in_llc) {
         s.llc.noteDataHit();
         s.llc.noteDataRead();
         s.llc.touchData(probe);
         ++proto_.twoHopReads;
-        Cycle read = s.llc.dataCycles();
-        ZDEV_LAT(lat_, obs::LatComp::LlcData, s.llc.dataCycles());
+        ch.add(LatComp::LlcData, s.llc.dataCycles());
         if (two_tag_match && cfg_.dirCachePolicy == DirCachePolicy::SpillAll) {
             // SpillAll reads the entry first, then the block: the read
             // sees one extra data-array latency (Section III-C1). FPSS
             // reads the block first and updates the entry off the
             // critical path (Section III-C2).
-            read += s.llc.dataCycles();
+            ch.add(LatComp::FuseSpill, s.llc.dataCycles());
             s.llc.noteDataRead();
-            ZDEV_LAT(lat_, obs::LatComp::FuseSpill, s.llc.dataCycles());
         }
-        const Cycle back = meshBankToCore(s, block, c);
-        ZDEV_LAT(lat_, obs::LatComp::Mesh, back);
-        lat = base + read + back;
+        ch.add(LatComp::Mesh, meshBankToCore(s, block, c));
         send(s, MsgType::DataResp);
         if (trk.where == TrackWhere::LlcSpilled ||
             trk.where == TrackWhere::LlcFused) {
@@ -345,14 +318,13 @@ CmpSystem::serveTracked(Socket &s, CoreId c, AccessType type,
         // becomes three hops (Section III-C3).
         const CoreId x = entry.anySharer();
         ++proto_.threeHopReads;
+        ch.cls = AccessClass::ThreeHop;
         send(s, MsgType::FwdGetS);
         send(s, MsgType::DataResp);
         send(s, MsgType::BusyClear);
-        const Cycle fwd = meshBankToCore(s, block, x);
-        const Cycle resp = meshCoreToCore(s, x, c);
-        ZDEV_LAT(lat_, obs::LatComp::Mesh, fwd + resp);
-        ZDEV_LAT(lat_, obs::LatComp::CoreLookup, s.cores[x].l2Cycles());
-        lat = base + fwd + s.cores[x].l2Cycles() + resp;
+        ch.add(LatComp::Mesh, meshBankToCore(s, block, x));
+        ch.add(LatComp::CoreLookup, s.cores[x].l2Cycles());
+        ch.add(LatComp::Mesh, meshCoreToCore(s, x, c));
         if (!fused_in_llc && cfg_.llcFlavor != LlcFlavor::Epd &&
             cfg_.dirCachePolicy != DirCachePolicy::FuseAll) {
             // The sharer's response also refills the LLC so later reads
@@ -364,19 +336,22 @@ CmpSystem::serveTracked(Socket &s, CoreId c, AccessType type,
     sharingDegree_.record(entry.count());
     writeTracking(s, block, trk.where, entry, now);
     fillCore(s, c, type, block, MesiState::Shared, now);
-    return lat;
 }
 
-Cycle
+void
 CmpSystem::serveSocketMiss(Socket &s, CoreId c, AccessType type,
-                           BlockAddr block, Cycle now, Cycle base)
+                           BlockAddr block, Cycle now,
+                           obs::LatencyChain &ch)
 {
     ++proto_.socketMisses;
+    const Cycle base = ch.now();
     ZDEV_TRACE(trc_, obs::TraceEventKind::SocketMiss,
                obs::TraceComp::Protocol, s.id, c, block, base, 0, 0,
                txn_);
-    if (cfg_.sockets > 1)
-        return serveSocketMissMulti(s, c, type, block, now, base);
+    if (cfg_.sockets > 1) {
+        serveSocketMissMulti(s, c, type, block, now, ch);
+        return;
+    }
 
     // Single socket: home memory is local.
     Socket &h = s;
@@ -391,28 +366,24 @@ CmpSystem::serveSocketMiss(Socket &s, CoreId c, AccessType type,
         if (!entry)
             panic("destroyed memory block without our segment");
         ++proto_.corruptedResponses;
-        const Cycle mem_done = h.dram.read(block, base, true) + 1;
-        ZDEV_LAT(lat_, obs::LatComp::DeMemory, mem_done - base);
+        ch.join(LatComp::DeMemory, h.dram.read(block, base, true) + 1);
         send(s, MsgType::MemRead);
         send(s, MsgType::DataRespCorrupted);
         Tracking trk;
         trk.where = TrackWhere::None;
         trk.entry = *entry;
         LlcProbe probe = s.llc.probe(block); // no data lines here
-        return finishAccess(
-            AccessClass::Corrupted, now,
-            serveTracked(s, c, type, block, now, trk, probe, mem_done));
+        serveTracked(s, c, type, block, now, trk, probe, ch);
+        ch.cls = AccessClass::Corrupted;
+        return;
     }
 
     send(s, MsgType::MemRead);
     send(s, MsgType::MemReadResp);
-    const Cycle mem_done = h.dram.read(block, base, false);
+    ch.join(LatComp::Dram, h.dram.read(block, base, false));
     ZDEV_TRACE(trc_, obs::TraceEventKind::MemRead, obs::TraceComp::Memory,
-               h.id, c, block, base, mem_done - base, 0, txn_);
-    ZDEV_LAT(lat_, obs::LatComp::Dram, mem_done - base);
-    const Cycle back = meshBankToCore(s, block, c);
-    ZDEV_LAT(lat_, obs::LatComp::Mesh, back);
-    const Cycle lat = mem_done + back;
+               h.id, c, block, base, ch.now() - base, 0, txn_);
+    ch.add(LatComp::Mesh, meshBankToCore(s, block, c));
 
     MesiState fill;
     DirEntry entry;
@@ -434,7 +405,7 @@ CmpSystem::serveSocketMiss(Socket &s, CoreId c, AccessType type,
 
     writeTracking(s, block, TrackWhere::None, entry, now);
     fillCore(s, c, type, block, fill, now);
-    return finishAccess(AccessClass::Memory, now, lat);
+    ch.cls = AccessClass::Memory;
 }
 
 void

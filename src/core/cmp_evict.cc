@@ -116,7 +116,8 @@ CmpSystem::evictionWithoutEntry(Socket &s, CoreId c, BlockAddr block,
     t = h.dram.read(block, t, true);
     // GET_DE runs behind the eviction notice, off the requester's
     // critical path: account it as background entry-memory work.
-    ZDEV_LAT_OFFPATH(lat_, obs::LatComp::DeMemory, t - de_start);
+    if (lat_)
+        lat_->addOffPath(obs::LatComp::DeMemory, t - de_start);
     send(h, MsgType::DeResp);
     if (!entry->isSharer(c))
         panic("GET_DE entry does not track the evicting core");

@@ -171,47 +171,30 @@ CmpSystem::access(CoreId gcore, AccessType type, BlockAddr block,
     ZDEV_TRACE(trc_, obs::TraceEventKind::Request, obs::TraceComp::Core,
                s.id, gcore, block, now, 0,
                static_cast<std::uint32_t>(type), txn_);
-    ZDEV_LAT_BEGIN(lat_);
+    obs::LatencyChain ch(now);
 
     switch (pc.access(type, block)) {
       case CoreLookup::L1Hit:
-        ZDEV_LAT(lat_, obs::LatComp::CoreLookup, pc.l1Cycles());
-        return finishAccess(AccessClass::L1Hit, now,
-                            now + pc.l1Cycles());
+        ch.cls = AccessClass::L1Hit;
+        ch.add(obs::LatComp::CoreLookup, pc.l1Cycles());
+        break;
       case CoreLookup::L2Hit:
-        ZDEV_LAT(lat_, obs::LatComp::CoreLookup,
-                 pc.l1Cycles() + pc.l2Cycles());
-        return finishAccess(AccessClass::L2Hit, now,
-                            now + pc.l1Cycles() + pc.l2Cycles());
+        ch.cls = AccessClass::L2Hit;
+        ch.add(obs::LatComp::CoreLookup, pc.l1Cycles() + pc.l2Cycles());
+        break;
       case CoreLookup::NeedUpgrade:
-        return finishAccess(AccessClass::Upgrade, now,
-                            backend_->upgrade(s.id, c, block, now));
-      case CoreLookup::Miss: {
+        ch.cls = AccessClass::Upgrade;
+        backend_->upgrade(s.id, c, block, ch);
+        break;
+      case CoreLookup::Miss:
         ++proto_.l2Misses;
-        const std::uint64_t mem_before =
-            proto_.classCount[static_cast<std::size_t>(
-                AccessClass::Memory)];
-        const std::uint64_t cor_before =
-            proto_.classCount[static_cast<std::size_t>(
-                AccessClass::Corrupted)];
-        const std::uint64_t three_before = proto_.threeHopReads;
-        const Cycle done = backend_->miss(s.id, c, type, block, now);
-        // The flows tag Memory/Corrupted classes themselves; everything
-        // else is a 2-hop or 3-hop uncore transaction.
-        const bool tagged =
-            proto_.classCount[static_cast<std::size_t>(
-                AccessClass::Memory)] != mem_before ||
-            proto_.classCount[static_cast<std::size_t>(
-                AccessClass::Corrupted)] != cor_before;
-        if (tagged)
-            return done;
-        return finishAccess(proto_.threeHopReads != three_before
-                                ? AccessClass::ThreeHop
-                                : AccessClass::TwoHop,
-                            now, done);
-      }
+        // A 2-hop uncore transaction unless the flow that serves it
+        // says otherwise (ThreeHop, Memory, Corrupted).
+        ch.cls = AccessClass::TwoHop;
+        backend_->miss(s.id, c, type, block, ch);
+        break;
     }
-    panic("unreachable");
+    return finishAccess(ch);
 }
 
 Tracking
@@ -284,17 +267,18 @@ CmpSystem::totalDramStats() const
 }
 
 Cycle
-CmpSystem::finishAccess(AccessClass cls, Cycle start, Cycle done)
+CmpSystem::finishAccess(const obs::LatencyChain &ch)
 {
-    const auto i = static_cast<std::size_t>(cls);
+    const auto i = static_cast<std::size_t>(ch.cls);
     ++proto_.classCount[i];
-    proto_.classCycles[i] += done - start;
-    ZDEV_LAT_END(lat_, static_cast<std::uint32_t>(cls), done - start);
+    proto_.classCycles[i] += ch.latency();
+    if (lat_)
+        lat_->record(static_cast<std::uint32_t>(i), ch);
     ZDEV_TRACE(trc_, obs::TraceEventKind::Complete,
                obs::TraceComp::Protocol, socketOfCore(txnCore_), txnCore_,
-               txnBlock_, start, done - start,
-               static_cast<std::uint32_t>(cls), txn_);
-    return done;
+               txnBlock_, ch.start(), ch.latency(),
+               static_cast<std::uint32_t>(i), txn_);
+    return ch.now();
 }
 
 const char *

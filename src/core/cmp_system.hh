@@ -44,6 +44,7 @@ namespace zerodev
 namespace obs
 {
 class Tracer;
+class LatencyChain;
 class LatencyProfiler;
 } // namespace obs
 
@@ -305,19 +306,25 @@ class CmpSystem
     bool zeroDev() const { return cfg_.dirOrg == DirOrg::ZeroDev; }
 
     // ----- request handling (cmp_access.cc) -----
-    Cycle handleMiss(Socket &s, CoreId c, AccessType type, BlockAddr block,
-                     Cycle now);
-    Cycle handleUpgrade(Socket &s, CoreId c, BlockAddr block, Cycle now);
+    //
+    // The request flows extend the access's latency chain @p ch from its
+    // running time; a separate @p now is the time stamp their state
+    // updates (tracking writes, fills, DRAM writes) carry.
+
+    void handleMiss(Socket &s, CoreId c, AccessType type, BlockAddr block,
+                    obs::LatencyChain &ch);
+    void handleUpgrade(Socket &s, CoreId c, BlockAddr block,
+                       obs::LatencyChain &ch);
 
     /** Serve a request whose tracking entry was found in-socket. */
-    Cycle serveTracked(Socket &s, CoreId c, AccessType type,
-                       BlockAddr block, Cycle now, Tracking &trk,
-                       LlcProbe &probe, Cycle base);
+    void serveTracked(Socket &s, CoreId c, AccessType type, BlockAddr block,
+                      Cycle now, Tracking &trk, LlcProbe &probe,
+                      obs::LatencyChain &ch);
 
     /** Serve a socket miss (no tracking, no LLC block): memory and, in a
      *  multi-socket system, the Figure 15 flows. */
-    Cycle serveSocketMiss(Socket &s, CoreId c, AccessType type,
-                          BlockAddr block, Cycle now, Cycle base);
+    void serveSocketMiss(Socket &s, CoreId c, AccessType type,
+                         BlockAddr block, Cycle now, obs::LatencyChain &ch);
 
     /** Fill the requesting core (and LLC per flavour) after data arrived;
      *  returns the private-eviction follow-up it triggered. */
@@ -416,8 +423,9 @@ class CmpSystem
     SocketDirEntry &socketEntry(BlockAddr block);
 
     /** Figure 15 socket-miss flows (sockets > 1). */
-    Cycle serveSocketMissMulti(Socket &s, CoreId c, AccessType type,
-                               BlockAddr block, Cycle now, Cycle base);
+    void serveSocketMissMulti(Socket &s, CoreId c, AccessType type,
+                              BlockAddr block, Cycle now,
+                              obs::LatencyChain &ch);
 
     /** Invalidate every other socket's copies of @p block before a local
      *  store completes; returns the added critical-path latency. */
@@ -432,20 +440,20 @@ class CmpSystem
     /**
      * Figure 15: fetch @p block for socket @p s from another socket F
      * that the (corrupted-state) home entry lists as a sharer/owner.
-     * Returns the added latency and whether the data came back dirty.
      */
-    Cycle forwardToSharerSocket(Socket &s, CoreId c, AccessType type,
-                                BlockAddr block, Cycle now,
-                                SocketDirEntry &sentry);
+    void forwardToSharerSocket(Socket &s, AccessType type, BlockAddr block,
+                               SocketDirEntry &sentry,
+                               obs::LatencyChain &ch);
 
     /** Within socket F: find the block via its tracking and supply it
      *  (invalidating/downgrading as the request demands). */
-    Cycle supplyFromSocket(Socket &f, AccessType type, BlockAddr block,
-                           Cycle now, bool invalidate_all);
+    void supplyFromSocket(Socket &f, BlockAddr block, bool invalidate_all,
+                          obs::LatencyChain &ch);
 
-    /** Classify-and-account helper for the access paths; also emits the
-     *  transaction-completion trace event (cmp_system.cc). */
-    Cycle finishAccess(AccessClass cls, Cycle start, Cycle done);
+    /** Account the finished access in its service class and the
+     *  attached profiler, emit the transaction-completion trace event,
+     *  and return the completion time (cmp_system.cc). */
+    Cycle finishAccess(const obs::LatencyChain &ch);
 
     /** Attribute one DEV / inclusion invalidation to the inducing core
      *  of the in-flight transaction (provenance + live metrics). */

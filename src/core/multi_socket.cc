@@ -9,13 +9,13 @@
 
 #include "core/cmp_system.hh"
 
-#include <algorithm>
-
 #include "common/log.hh"
 #include "obs/latency.hh"
 
 namespace zerodev
 {
+
+using obs::LatComp;
 
 SocketDirEntry &
 CmpSystem::socketEntry(BlockAddr block)
@@ -98,11 +98,11 @@ CmpSystem::invalidateRemoteSharers(Socket &s, BlockAddr block, Cycle now)
     return added;
 }
 
-Cycle
-CmpSystem::supplyFromSocket(Socket &f, AccessType type, BlockAddr block,
-                            Cycle now, bool invalidate_all)
+void
+CmpSystem::supplyFromSocket(Socket &f, BlockAddr block, bool invalidate_all,
+                            obs::LatencyChain &ch)
 {
-    (void)type;
+    const Cycle now = ch.now();
     Tracking trk = findTracking(f, block);
     Socket &h = home(block);
     if (!trk.found()) {
@@ -111,11 +111,9 @@ CmpSystem::supplyFromSocket(Socket &f, AccessType type, BlockAddr block,
         // survived): serve straight from the LLC.
         LlcProbe probe = f.llc.probe(block);
         if (probe.data && probe.data->kind == LlcLineKind::Data) {
-            const Cycle internal =
-                f.llc.tagCycles() + f.llc.dataCycles();
+            ch.add(LatComp::DirLookup, f.llc.tagCycles());
+            ch.add(LatComp::LlcData, f.llc.dataCycles());
             f.llc.noteDataRead();
-            ZDEV_LAT(lat_, obs::LatComp::DirLookup, f.llc.tagCycles());
-            ZDEV_LAT(lat_, obs::LatComp::LlcData, f.llc.dataCycles());
             if (invalidate_all) {
                 f.llc.invalidateLine(*probe.data);
                 if (probe.spilled)
@@ -126,7 +124,7 @@ CmpSystem::supplyFromSocket(Socket &f, AccessType type, BlockAddr block,
                 f.llc.touchData(probe);
             }
             send(f, MsgType::DataResp);
-            return now + internal;
+            return;
         }
         panic("supplyFromSocket: socket %u has neither entry nor LLC "
               "copy of block %#llx", f.id,
@@ -136,11 +134,9 @@ CmpSystem::supplyFromSocket(Socket &f, AccessType type, BlockAddr block,
 
     const CoreId x = entry.state == DirState::Owned ? entry.owner()
                                                     : entry.anySharer();
-    const Cycle fwd_hop = meshBankToCore(f, block, x);
-    Cycle internal = f.llc.tagCycles() + fwd_hop + f.cores[x].l2Cycles();
-    ZDEV_LAT(lat_, obs::LatComp::DirLookup, f.llc.tagCycles());
-    ZDEV_LAT(lat_, obs::LatComp::Mesh, fwd_hop);
-    ZDEV_LAT(lat_, obs::LatComp::CoreLookup, f.cores[x].l2Cycles());
+    ch.add(LatComp::DirLookup, f.llc.tagCycles());
+    ch.add(LatComp::Mesh, meshBankToCore(f, block, x));
+    ch.add(LatComp::CoreLookup, f.cores[x].l2Cycles());
 
     if (invalidate_all) {
         forEachSetBit(entry.sharers, [&](CoreId y) {
@@ -174,15 +170,13 @@ CmpSystem::supplyFromSocket(Socket &f, AccessType type, BlockAddr block,
         writeTracking(f, block, trk.where, entry, now);
     }
     send(f, MsgType::DataResp);
-    return now + internal;
 }
 
-Cycle
-CmpSystem::forwardToSharerSocket(Socket &s, CoreId c, AccessType type,
-                                 BlockAddr block, Cycle now,
-                                 SocketDirEntry &sentry)
+void
+CmpSystem::forwardToSharerSocket(Socket &s, AccessType type,
+                                 BlockAddr block, SocketDirEntry &sentry,
+                                 obs::LatencyChain &ch)
 {
-    (void)c;
     Socket &h = home(block);
     const SocketId fid = sentry.anySharerExcept(s.id);
     if (fid == static_cast<SocketId>(~0u))
@@ -191,8 +185,7 @@ CmpSystem::forwardToSharerSocket(Socket &s, CoreId c, AccessType type,
 
     send(h, type == AccessType::Store ? MsgType::FwdGetX
                                                : MsgType::FwdGetS);
-    Cycle t = now + cfg_.interSocketCycles; // home -> F
-    ZDEV_LAT(lat_, obs::LatComp::InterSocket, cfg_.interSocketCycles);
+    ch.add(LatComp::InterSocket, cfg_.interSocketCycles); // home -> F
 
     Tracking trk = findTracking(f, block);
     bool llc_copy = false;
@@ -206,17 +199,14 @@ CmpSystem::forwardToSharerSocket(Socket &s, CoreId c, AccessType type,
         // with the request (Figure 15, steps 7-11).
         ++proto_.denfNacks;
         send(f, MsgType::DenfNack);
-        t += cfg_.interSocketCycles;            // F -> home NACK
-        ZDEV_LAT(lat_, obs::LatComp::InterSocket, cfg_.interSocketCycles);
+        ch.add(LatComp::InterSocket, cfg_.interSocketCycles); // F -> home
         auto fentry = h.memStore.loadSegment(block, fid);
         if (!fentry)
             panic("DENF_NACK but no segment for the forwarded socket");
-        const Cycle de_start = t;
-        t = h.dram.read(block, t, true);        // read corrupted block
-        ZDEV_LAT(lat_, obs::LatComp::DeMemory, t - de_start);
+        // Read the corrupted block.
+        ch.join(LatComp::DeMemory, h.dram.read(block, ch.now(), true));
         send(h, MsgType::FwdWithDe);
-        t += cfg_.interSocketCycles;            // home -> F resend
-        ZDEV_LAT(lat_, obs::LatComp::InterSocket, cfg_.interSocketCycles);
+        ch.add(LatComp::InterSocket, cfg_.interSocketCycles); // resend
         h.memStore.clearSegment(block, fid);
 
         // F concludes the request using the carried entry.
@@ -224,11 +214,9 @@ CmpSystem::forwardToSharerSocket(Socket &s, CoreId c, AccessType type,
         const CoreId x = entry.state == DirState::Owned
                              ? entry.owner()
                              : entry.anySharer();
-        const Cycle fwd_hop = meshBankToCore(f, block, x);
-        t += f.llc.tagCycles() + fwd_hop + f.cores[x].l2Cycles();
-        ZDEV_LAT(lat_, obs::LatComp::DirLookup, f.llc.tagCycles());
-        ZDEV_LAT(lat_, obs::LatComp::Mesh, fwd_hop);
-        ZDEV_LAT(lat_, obs::LatComp::CoreLookup, f.cores[x].l2Cycles());
+        ch.add(LatComp::DirLookup, f.llc.tagCycles());
+        ch.add(LatComp::Mesh, meshBankToCore(f, block, x));
+        ch.add(LatComp::CoreLookup, f.cores[x].l2Cycles());
         if (type == AccessType::Store) {
             forEachSetBit(entry.sharers, [&](CoreId y) {
                 f.cores[y].invalidate(block, false);
@@ -241,45 +229,37 @@ CmpSystem::forwardToSharerSocket(Socket &s, CoreId c, AccessType type,
             }
             // The updated entry returns to its home memory segment.
             send(f, MsgType::PutDe);
-            h.dram.write(block, t, true);
+            h.dram.write(block, ch.now(), true);
             send(h, MsgType::MemWrite);
             h.memStore.storeSegment(block, fid, entry);
         }
         send(f, MsgType::DataResp);
-        t += cfg_.interSocketCycles; // F -> requester data
-        ZDEV_LAT(lat_, obs::LatComp::InterSocket, cfg_.interSocketCycles);
-        return t;
+    } else {
+        supplyFromSocket(f, block, type == AccessType::Store, ch);
     }
-
-    t = supplyFromSocket(f, type, block, t, type == AccessType::Store);
-    t += cfg_.interSocketCycles; // F -> requester data
-    ZDEV_LAT(lat_, obs::LatComp::InterSocket, cfg_.interSocketCycles);
-    return t;
+    ch.add(LatComp::InterSocket, cfg_.interSocketCycles); // F -> requester
 }
 
-Cycle
+void
 CmpSystem::serveSocketMissMulti(Socket &s, CoreId c, AccessType type,
-                                BlockAddr block, Cycle now, Cycle base)
+                                BlockAddr block, Cycle now,
+                                obs::LatencyChain &ch)
 {
     Socket &h = home(block);
-    Cycle t = base;
     if (h.id != s.id) {
-        t += cfg_.interSocketCycles;
-        ZDEV_LAT(lat_, obs::LatComp::InterSocket, cfg_.interSocketCycles);
+        ch.add(LatComp::InterSocket, cfg_.interSocketCycles);
         send(s, type == AccessType::Store ? MsgType::GetX
                                                    : MsgType::GetS);
     }
-    t += 2; // socket-level directory cache lookup
-    ZDEV_LAT(lat_, obs::LatComp::DirLookup, 2);
+    // Socket-level directory cache lookup.
+    ch.add(LatComp::DirLookup, 2);
 
     SocketDirectory::Access acc = h.socketDir->access(block);
     if (acc.cacheMiss && acc.entry.live()) {
         // Directory-cache miss: the entry comes from home memory — a
         // backup read (solution 1) or a DirEvict-bit extraction from
         // the block itself (solution 2).
-        const Cycle de_start = t;
-        t = h.dram.read(block, t, true);
-        ZDEV_LAT(lat_, obs::LatComp::DeMemory, t - de_start);
+        ch.join(LatComp::DeMemory, h.dram.read(block, ch.now(), true));
         send(h, MsgType::MemRead);
     }
     SocketDirEntry &se = acc.entry;
@@ -289,8 +269,8 @@ CmpSystem::serveSocketMissMulti(Socket &s, CoreId c, AccessType type,
                    : type == AccessType::Ifetch ? MesiState::Shared
                                                 : MesiState::Exclusive;
 
-    auto finish = [&](Cycle done, bool llc_dirty, bool global_shared,
-                      MesiState st) -> Cycle {
+    // Data is back at the requester: fill it (and its LLC, per flavour).
+    auto finish = [&](bool llc_dirty, bool global_shared, MesiState st) {
         if (st == MesiState::Shared || st == MesiState::Exclusive ||
             st == MesiState::Modified) {
             if (cfg_.llcFlavor != LlcFlavor::Epd ||
@@ -305,35 +285,28 @@ CmpSystem::serveSocketMissMulti(Socket &s, CoreId c, AccessType type,
             entry.makeOwned(c);
         writeTracking(s, block, TrackWhere::None, entry, now);
         fillCore(s, c, type, block, st, now);
-        return done;
     };
 
     switch (se.state) {
       case SocketDirState::Invalid: {
-        const Cycle mem = h.dram.read(block, t, false);
-        ZDEV_LAT(lat_, obs::LatComp::Dram, mem - t);
+        ch.join(LatComp::Dram, h.dram.read(block, ch.now(), false));
         send(h, MsgType::MemRead);
         send(h, MsgType::MemReadResp);
-        const Cycle back = meshBankToCore(s, block, c);
-        ZDEV_LAT(lat_, obs::LatComp::Mesh, back);
-        Cycle done = mem + back;
-        if (h.id != s.id) {
-            done += cfg_.interSocketCycles;
-            ZDEV_LAT(lat_, obs::LatComp::InterSocket,
-                     cfg_.interSocketCycles);
-        }
+        ch.add(LatComp::Mesh, meshBankToCore(s, block, c));
+        if (h.id != s.id)
+            ch.add(LatComp::InterSocket, cfg_.interSocketCycles);
         if (fill == MesiState::Shared) {
             se.state = SocketDirState::Shared;
         } else {
             se.state = SocketDirState::Owned;
         }
         se.sharers.set(s.id);
-        return finishAccess(AccessClass::Memory, now,
-                            finish(done, false, false, fill));
+        finish(false, false, fill);
+        ch.cls = AccessClass::Memory;
+        return;
       }
 
       case SocketDirState::Shared: {
-        Cycle done;
         if (is_store) {
             // Invalidate the sharer sockets; data comes from memory.
             for (SocketId g = 0; g < cfg_.sockets; ++g) {
@@ -359,31 +332,24 @@ CmpSystem::serveSocketMissMulti(Socket &s, CoreId c, AccessType type,
                 send(gs, MsgType::InvAck);
                 se.sharers.reset(g);
             }
-            const Cycle mem = h.dram.read(block, t, false);
-            ZDEV_LAT(lat_, obs::LatComp::Dram, mem - t);
-            done = std::max<Cycle>(mem, t + 2ull * cfg_.interSocketCycles);
-            ZDEV_LAT(lat_, obs::LatComp::InvStall, done - mem);
+            const Cycle t = ch.now();
+            ch.join(LatComp::Dram, h.dram.read(block, t, false));
+            ch.join(LatComp::InvStall, t + 2ull * cfg_.interSocketCycles);
             se.state = SocketDirState::Owned;
             se.sharers.set(s.id);
         } else {
-            const Cycle mem = h.dram.read(block, t, false);
-            ZDEV_LAT(lat_, obs::LatComp::Dram, mem - t);
-            done = mem;
+            ch.join(LatComp::Dram, h.dram.read(block, ch.now(), false));
             se.sharers.set(s.id);
             fill = MesiState::Shared;
         }
         send(h, MsgType::MemRead);
         send(h, MsgType::MemReadResp);
-        const Cycle back = meshBankToCore(s, block, c);
-        ZDEV_LAT(lat_, obs::LatComp::Mesh, back);
-        done += back;
-        if (h.id != s.id) {
-            done += cfg_.interSocketCycles;
-            ZDEV_LAT(lat_, obs::LatComp::InterSocket,
-                     cfg_.interSocketCycles);
-        }
-        return finishAccess(AccessClass::Memory, now,
-                            finish(done, false, !is_store, fill));
+        ch.add(LatComp::Mesh, meshBankToCore(s, block, c));
+        if (h.id != s.id)
+            ch.add(LatComp::InterSocket, cfg_.interSocketCycles);
+        finish(false, !is_store, fill);
+        ch.cls = AccessClass::Memory;
+        return;
       }
 
       case SocketDirState::Owned: {
@@ -391,12 +357,9 @@ CmpSystem::serveSocketMissMulti(Socket &s, CoreId c, AccessType type,
         if (fid == static_cast<SocketId>(~0u))
             panic("socket-level Owned entry with no owner socket");
         send(h, is_store ? MsgType::FwdGetX : MsgType::FwdGetS);
-        ZDEV_LAT(lat_, obs::LatComp::InterSocket,
-                 2ull * cfg_.interSocketCycles);
-        Cycle done = supplyFromSocket(*sockets_[fid], type, block,
-                                      t + cfg_.interSocketCycles,
-                                      is_store);
-        done += cfg_.interSocketCycles; // F -> requester
+        ch.add(LatComp::InterSocket, cfg_.interSocketCycles); // home -> F
+        supplyFromSocket(*sockets_[fid], block, is_store, ch);
+        ch.add(LatComp::InterSocket, cfg_.interSocketCycles); // F -> req
         if (is_store) {
             se.sharers.reset(fid);
             se.sharers.set(s.id);
@@ -407,7 +370,8 @@ CmpSystem::serveSocketMissMulti(Socket &s, CoreId c, AccessType type,
             se.state = SocketDirState::Shared;
             fill = MesiState::Shared;
         }
-        return finish(done, false, !is_store, fill);
+        finish(false, !is_store, fill);
+        return;
       }
 
       case SocketDirState::Corrupted: {
@@ -419,31 +383,28 @@ CmpSystem::serveSocketMissMulti(Socket &s, CoreId c, AccessType type,
             if (!is_store)
                 ++proto_.corruptedReadMisses;
             ++proto_.corruptedResponses;
-            auto entry = extractEntryFromMemory(s, block, t);
+            auto entry = extractEntryFromMemory(s, block, ch.now());
             if (!entry)
                 panic("corrupted entry lists socket %u but no segment",
                       s.id);
-            Cycle done = h.dram.read(block, t, true) + 1;
-            ZDEV_LAT(lat_, obs::LatComp::DeMemory, done - t);
+            ch.join(LatComp::DeMemory,
+                    h.dram.read(block, ch.now(), true) + 1);
             send(h, MsgType::MemRead);
             send(h, MsgType::DataRespCorrupted);
-            if (h.id != s.id) {
-                done += cfg_.interSocketCycles;
-                ZDEV_LAT(lat_, obs::LatComp::InterSocket,
-                         cfg_.interSocketCycles);
-            }
+            if (h.id != s.id)
+                ch.add(LatComp::InterSocket, cfg_.interSocketCycles);
             Tracking trk;
             trk.where = TrackWhere::None;
             trk.entry = *entry;
             LlcProbe probe = s.llc.probe(block);
-            return finishAccess(
-                AccessClass::Corrupted, now,
-                serveTracked(s, c, type, block, now, trk, probe, done));
+            serveTracked(s, c, type, block, now, trk, probe, ch);
+            ch.cls = AccessClass::Corrupted;
+            return;
         }
 
         if (!is_store)
             ++proto_.corruptedReadMisses;
-        Cycle done = forwardToSharerSocket(s, c, type, block, t, se);
+        forwardToSharerSocket(s, type, block, se, ch);
         if (is_store) {
             // Every other socket's copies die; memory stays destroyed
             // until a full-block write restores it.
@@ -469,16 +430,16 @@ CmpSystem::serveSocketMissMulti(Socket &s, CoreId c, AccessType type,
                 se.sharers.reset(g);
             }
             se.sharers.set(s.id);
-            fill = MesiState::Modified;
-            return finish(done, false, false, fill);
+            finish(false, false, MesiState::Modified);
+            return;
         }
         se.sharers.set(s.id);
-        fill = MesiState::Shared;
         // The forwarded data may be dirtier than (destroyed) memory;
         // keep the socket's LLC copy dirty so it eventually writes back
         // and restores the home block.
-        return finishAccess(AccessClass::Corrupted, now,
-                            finish(done, true, true, fill));
+        finish(true, true, MesiState::Shared);
+        ch.cls = AccessClass::Corrupted;
+        return;
       }
     }
     panic("unreachable socket-directory state");

@@ -249,7 +249,8 @@ CmpSystem::writebackEntryToMemory(Socket &s, BlockAddr block,
         const Cycle de_start = t;
         t = h.dram.read(block, t, true);
         // WB_DE is posted: the read-modify-write delays no requester.
-        ZDEV_LAT_OFFPATH(lat_, obs::LatComp::DeMemory, t - de_start);
+        if (lat_)
+            lat_->addOffPath(obs::LatComp::DeMemory, t - de_start);
         send(h, MsgType::MemRead);
     }
     h.dram.write(block, t, true);

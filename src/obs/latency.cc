@@ -27,19 +27,10 @@ toString(LatComp c)
       case LatComp::DeMemory: return "de_memory";
       case LatComp::InvStall: return "inv_stall";
       case LatComp::InterSocket: return "inter_socket";
-      case LatComp::Other: return "other";
+      case LatComp::QueueWait: return "queue_wait";
       case LatComp::NumComps: break;
     }
     return "?";
-}
-
-std::uint64_t
-LatencyBreakdown::attributedCycles() const
-{
-    std::uint64_t sum = 0;
-    for (const Component &c : components)
-        sum += c.cycles;
-    return sum;
 }
 
 LatencyProfiler::LatencyProfiler()
@@ -50,42 +41,24 @@ LatencyProfiler::LatencyProfiler()
 }
 
 void
-LatencyProfiler::endTxn(std::uint32_t cls, Cycle latency)
+LatencyProfiler::record(std::uint32_t cls, const LatencyChain &ch)
 {
-    if (!enabled_ || !inTxn_)
-        return;
-    inTxn_ = false;
-
-    // Clip the tagged charges to the observed latency. The engine joins
-    // parallel paths with max(), so the serial charges can overshoot;
-    // walking in enum order clips the overshoot off the *last* charged
-    // components (deterministically) and counts it as overlap.
-    std::uint64_t room = latency;
-    for (std::size_t i = 0; i < kNumComps; ++i) {
-        std::uint64_t &c = cur_[i];
-        if (c > room) {
-            overlapCycles_ += c - room;
-            c = room;
-        }
-        room -= c;
-    }
-    // room is now the untagged residual; make the sum exact.
-    cur_[static_cast<std::size_t>(LatComp::Other)] += room;
-
+    const Cycle latency = ch.latency();
     ++transactions_;
     totalCycles_ += latency;
     for (std::size_t i = 0; i < kNumComps; ++i) {
-        if (cur_[i] == 0)
+        const Cycle c = ch.components()[i];
+        if (c == 0)
             continue;
-        totals_[i] += cur_[i];
-        hist_[i].record(cur_[i]);
+        totals_[i] += c;
+        hist_[i].record(c);
     }
     if (cls < kMaxClasses) {
         LatencyBreakdown::ClassRow &row = classes_[cls];
         ++row.count;
         row.cycles += latency;
         for (std::size_t i = 0; i < kNumComps; ++i)
-            row.compCycles[i] += cur_[i];
+            row.compCycles[i] += ch.components()[i];
     }
 }
 
@@ -95,7 +68,6 @@ LatencyProfiler::snapshot() const
     LatencyBreakdown b;
     b.transactions = transactions_;
     b.totalCycles = totalCycles_;
-    b.overlapCycles = overlapCycles_;
     for (std::size_t i = 0; i < kNumComps; ++i) {
         LatencyBreakdown::Component &c = b.components[i];
         c.cycles = totals_[i];
@@ -108,21 +80,6 @@ LatencyProfiler::snapshot() const
     }
     b.classes = classes_;
     return b;
-}
-
-void
-LatencyProfiler::clear()
-{
-    cur_.fill(0);
-    totals_.fill(0);
-    background_.fill(0);
-    for (Histogram &h : hist_)
-        h.clear();
-    classes_ = {};
-    transactions_ = 0;
-    totalCycles_ = 0;
-    overlapCycles_ = 0;
-    inTxn_ = false;
 }
 
 } // namespace zerodev::obs

@@ -1,37 +1,34 @@
 /**
  * @file
- * Critical-path latency attribution profiler.
+ * Critical-path latency: composition and attribution in one value.
  *
  * The protocol engine composes every transaction's completion time from a
  * handful of architectural delays — private lookups, mesh traversals,
  * directory/LLC array accesses, DRAM, entry-in-memory round-trips,
- * invalidation stalls. This profiler tags each such charge with a
- * component as it is added, and on completion attributes the
- * transaction's total latency across components:
+ * invalidation stalls, bank admission queues. A LatencyChain carries the
+ * transaction's running time, and the flows advance it only through
+ * add() (a serial delay) and join() (a parallel path that ends at an
+ * absolute time, i.e. a max()). Both charge the cycles they add to a
+ * component in the same step, so the components of every transaction —
+ * and therefore of the whole run — sum exactly to its latency: there is
+ * no residual to guess at and no overlap to clip.
+ *
+ * A LatencyProfiler observes finished chains:
  *
  *  - per-component cycle totals and per-transaction Histograms
  *    (p50/p95/p99 of the cycles one transaction spent in a component);
  *  - per-service-class component totals (where do Memory-class cycles
- *    go vs ThreeHop-class cycles);
- *  - an explicit residual ("other") component that absorbs whatever the
- *    instrumentation did not tag, so the components of every
- *    transaction — and therefore of the whole run — sum *exactly* to
- *    the observed total latency;
- *  - overlap accounting: the engine models parallel paths with max()
- *    (data return vs invalidation fan-out), so tagged charges can
- *    exceed the observed latency. The excess is clipped off the tail
- *    charges and counted in overlapCycles rather than inflating sums.
+ *    go vs ThreeHop-class cycles).
  *
  * Off-critical-path work (posted WB_DE writebacks, background GET_DE
- * flows, DEV invalidations) is recorded separately via addOffPath() and
- * reported as a "background" section — it costs the requester nothing
- * in this model and must not pollute the per-transaction attribution.
+ * flows) is recorded separately via addOffPath() and reported as a
+ * "background" section — it costs the requester nothing in this model
+ * and must not pollute the per-transaction attribution.
  *
- * Cost model: identical to the tracer. Hooks sit behind ZDEV_LAT
- * macros; a ZERODEV_TRACE=0 build removes them entirely, and in the
- * default build each hook is a never-taken null-pointer test until a
- * profiler is attached (CmpSystem::attachLatencyProfiler, or
- * RunConfig::latency through the runner).
+ * Cost model: the chain is always composed (it *is* the latency
+ * arithmetic); recording it is a null test on the attached profiler
+ * (CmpSystem::attachLatencyProfiler, or RunConfig::latency through the
+ * runner), in every build.
  */
 
 #ifndef ZERODEV_OBS_LATENCY_HH
@@ -39,11 +36,19 @@
 
 #include <array>
 #include <cstdint>
+#include <vector>
 
 #include "common/stats.hh"
 #include "common/types.hh"
 
-namespace zerodev::obs
+namespace zerodev
+{
+
+/** Service class of an access; defined with the protocol engine
+ *  (core/cmp_system.hh). The chain only carries it. */
+enum class AccessClass : std::uint8_t;
+
+namespace obs
 {
 
 /** Critical-path component a latency charge is attributed to. */
@@ -58,17 +63,66 @@ enum class LatComp : std::uint8_t
     DeMemory,    //!< entry-in-memory round-trips (WB_DE/GET_DE/corrupted)
     InvStall,    //!< stall waiting on sharer/owner invalidations
     InterSocket, //!< inter-socket link crossings
-    Other,       //!< residual: total minus every tagged charge
+    QueueWait,   //!< waiting for admission to a bank's request queue
     NumComps,
 };
 
 const char *toString(LatComp c);
 
+inline constexpr std::size_t kNumLatComps =
+    static_cast<std::size_t>(LatComp::NumComps);
+
+/**
+ * One transaction's running time plus the cycles each component added
+ * to it. Every cycle between start() and now() went through add() or
+ * join(), so the component cycles sum to latency().
+ */
+class LatencyChain
+{
+  public:
+    explicit LatencyChain(Cycle start) : start_(start), now_(start) {}
+
+    Cycle start() const { return start_; }
+    /** How far the critical path has got. */
+    Cycle now() const { return now_; }
+    Cycle latency() const { return now_ - start_; }
+
+    /** Extend the critical path by @p cycles spent in @p comp. */
+    void
+    add(LatComp comp, Cycle cycles)
+    {
+        now_ += cycles;
+        cycles_[static_cast<std::size_t>(comp)] += cycles;
+    }
+
+    /** Wait for a parallel path that ends at absolute time @p t: the
+     *  max() of the two, with any overshoot charged to @p comp. */
+    void
+    join(LatComp comp, Cycle t)
+    {
+        if (t > now_)
+            add(comp, t - now_);
+    }
+
+    /** Cycles charged to each component, indexed by LatComp. */
+    const std::array<Cycle, kNumLatComps> &components() const
+    {
+        return cycles_;
+    }
+
+    /** Service class, set by the flow that serves the access. */
+    AccessClass cls{};
+
+  private:
+    Cycle start_;
+    Cycle now_;
+    std::array<Cycle, kNumLatComps> cycles_{};
+};
+
 /** Immutable snapshot of a profiler's accumulated attribution. */
 struct LatencyBreakdown
 {
-    static constexpr std::size_t kNumComps =
-        static_cast<std::size_t>(LatComp::NumComps);
+    static constexpr std::size_t kNumComps = kNumLatComps;
     /** Service classes are tracked by index so this header does not
      *  depend on core/; sized for AccessClass::NumClasses with slack. */
     static constexpr std::size_t kMaxClasses = 8;
@@ -92,132 +146,50 @@ struct LatencyBreakdown
 
     std::uint64_t transactions = 0; //!< completed transactions observed
     std::uint64_t totalCycles = 0;  //!< sum of their latencies
-    std::uint64_t overlapCycles = 0; //!< charges clipped by max() overlap
     std::array<Component, kNumComps> components{};
     std::array<ClassRow, kMaxClasses> classes{};
     /** Off-critical-path cycles (posted writebacks, background entry
      *  flows) per component; not part of totalCycles. */
     std::array<std::uint64_t, kNumComps> background{};
-
-    /** Sum of components[i].cycles — equals totalCycles by design. */
-    std::uint64_t attributedCycles() const;
 };
 
-/**
- * The profiler the protocol engine charges into. One transaction is
- * bracketed by beginTxn()/endTxn(); add() calls in between tag the
- * serial-chain delays composing its latency.
- */
+/** Accumulates the finished chains of a run. */
 class LatencyProfiler
 {
   public:
     LatencyProfiler();
 
-    /** Runtime master switch (starts enabled: attaching one means you
-     *  want attribution). */
-    void setEnabled(bool on) { enabled_ = on; }
-    bool enabled() const { return enabled_; }
-
-    /** Open attribution for the next transaction. */
-    void
-    beginTxn()
-    {
-        if (!enabled_)
-            return;
-        cur_.fill(0);
-        inTxn_ = true;
-    }
-
-    /** Charge @p cycles of the in-flight transaction to @p comp. */
-    void
-    add(LatComp comp, Cycle cycles)
-    {
-        if (!enabled_ || !inTxn_ || cycles == 0)
-            return;
-        cur_[static_cast<std::size_t>(comp)] += cycles;
-    }
-
     /** Record off-critical-path work (not tied to a transaction). */
     void
     addOffPath(LatComp comp, Cycle cycles)
     {
-        if (!enabled_)
-            return;
         background_[static_cast<std::size_t>(comp)] += cycles;
     }
 
-    /**
-     * Close the in-flight transaction: clip tagged charges to the
-     * observed @p latency (excess -> overlapCycles), attribute the
-     * untagged residual to LatComp::Other, and fold everything into the
-     * per-component histograms and the per-class row @p cls (an
-     * AccessClass index; rows >= kMaxClasses are dropped).
-     */
-    void endTxn(std::uint32_t cls, Cycle latency);
+    /** Fold a finished transaction into the per-component histograms
+     *  and the per-class row @p cls (an AccessClass index; rows >=
+     *  kMaxClasses are dropped). */
+    void record(std::uint32_t cls, const LatencyChain &ch);
 
     std::uint64_t transactions() const { return transactions_; }
 
     /** Aggregate view (percentiles computed here). */
     LatencyBreakdown snapshot() const;
 
-    /** Per-transaction cycles-in-component distribution. */
-    const Histogram &componentHist(LatComp c) const
-    {
-        return hist_[static_cast<std::size_t>(c)];
-    }
-
-    void clear();
-
   private:
-    static constexpr std::size_t kNumComps = LatencyBreakdown::kNumComps;
+    static constexpr std::size_t kNumComps = kNumLatComps;
     static constexpr std::size_t kMaxClasses =
         LatencyBreakdown::kMaxClasses;
 
-    std::array<std::uint64_t, kNumComps> cur_{};    //!< in-flight charges
     std::array<std::uint64_t, kNumComps> totals_{}; //!< attributed cycles
     std::array<std::uint64_t, kNumComps> background_{};
     std::vector<Histogram> hist_; //!< per-component, per-txn cycles
     std::array<LatencyBreakdown::ClassRow, kMaxClasses> classes_{};
     std::uint64_t transactions_ = 0;
     std::uint64_t totalCycles_ = 0;
-    std::uint64_t overlapCycles_ = 0;
-    bool enabled_ = true;
-    bool inTxn_ = false;
 };
 
-} // namespace zerodev::obs
-
-// Hot-path hooks: compiled out entirely when the library is built with
-// ZERODEV_TRACE=0; otherwise a null test on the attached profiler.
-#ifndef ZERODEV_TRACE
-#define ZERODEV_TRACE 0
-#endif
-#if ZERODEV_TRACE
-#define ZDEV_LAT_BEGIN(lp)                                                  \
-    do {                                                                    \
-        if (lp)                                                             \
-            (lp)->beginTxn();                                               \
-    } while (0)
-#define ZDEV_LAT(lp, comp, cycles)                                          \
-    do {                                                                    \
-        if (lp)                                                             \
-            (lp)->add((comp), (cycles));                                    \
-    } while (0)
-#define ZDEV_LAT_OFFPATH(lp, comp, cycles)                                  \
-    do {                                                                    \
-        if (lp)                                                             \
-            (lp)->addOffPath((comp), (cycles));                             \
-    } while (0)
-#define ZDEV_LAT_END(lp, cls, latency)                                      \
-    do {                                                                    \
-        if (lp)                                                             \
-            (lp)->endTxn((cls), (latency));                                 \
-    } while (0)
-#else
-#define ZDEV_LAT_BEGIN(lp) ((void)0)
-#define ZDEV_LAT(lp, comp, cycles) ((void)0)
-#define ZDEV_LAT_OFFPATH(lp, comp, cycles) ((void)0)
-#define ZDEV_LAT_END(lp, cls, latency) ((void)0)
-#endif
+} // namespace obs
+} // namespace zerodev
 
 #endif // ZERODEV_OBS_LATENCY_HH

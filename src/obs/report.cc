@@ -161,7 +161,6 @@ latencyBreakdownToJson(JsonWriter &w, const LatencyBreakdown &lat)
     w.beginObject();
     w.field("transactions", lat.transactions);
     w.field("totalCycles", lat.totalCycles);
-    w.field("overlapCycles", lat.overlapCycles);
 
     w.key("components").beginObject();
     for (std::size_t i = 0; i < LatencyBreakdown::kNumComps; ++i) {

@@ -191,6 +191,16 @@ TEST_F(CliTempFiles, TraceToolRejectsCorruptTraceWithExitOne)
     EXPECT_EQ(toolExit("replay " + file), 1);
 }
 
+TEST_F(CliTempFiles, TraceToolSimRunsTheRivalBackends)
+{
+    const std::string out = dirPath("sim_dls");
+    std::filesystem::create_directories(out);
+    EXPECT_EQ(toolExit("sim fft 2 10 " + out + " dls"), 0);
+    EXPECT_TRUE(std::filesystem::exists(out + "/report.json"));
+    EXPECT_EQ(toolExit("sim fft 2 10 " + out + " phasepri"), 0);
+    EXPECT_EQ(toolExit("sim fft 2 10 " + out + " mosi"), 2);
+}
+
 TEST_F(CliTempFiles, TraceToolReplayRejectsOversizedTrace)
 {
     // A 16-core trace cannot replay on the 8-core example config.

@@ -64,10 +64,6 @@ TEST(Determinism, ReportsValidateAndCarryExactAttribution)
 
     const obs::JsonValue *lat = v->find("latency_breakdown");
     ASSERT_NE(lat, nullptr);
-#if !ZERODEV_TRACE
-    GTEST_SKIP() << "latency hooks compiled out (ZERODEV_TRACE=0); "
-                    "breakdown stays empty";
-#endif
     EXPECT_GT(lat->num("transactions"), 0.0);
     double sum = 0.0;
     for (const auto &[name, comp] : lat->find("components")->object) {

@@ -498,93 +498,70 @@ TEST(Report, ValidatorRejectsMismatchedLatencySums)
 
 // --- Latency attribution profiler ------------------------------------
 
-TEST(LatencyProfiler, ResidualGoesToOther)
+TEST(LatencyChain, AddAndJoinComposeAndAttributeTogether)
 {
-    obs::LatencyProfiler lp;
-    lp.beginTxn();
-    lp.add(obs::LatComp::Mesh, 4);
-    lp.add(obs::LatComp::Dram, 10);
-    lp.endTxn(0, 20);
+    const auto inv_stall = static_cast<std::size_t>(obs::LatComp::InvStall);
+    obs::LatencyChain ch(100);
+    ch.add(obs::LatComp::Mesh, 4);
+    ch.add(obs::LatComp::Dram, 10);
+    EXPECT_EQ(ch.now(), 114u);
 
-    const obs::LatencyBreakdown s = lp.snapshot();
-    EXPECT_EQ(s.transactions, 1u);
-    EXPECT_EQ(s.totalCycles, 20u);
-    EXPECT_EQ(s.overlapCycles, 0u);
-    const auto comp = [&s](obs::LatComp c) {
-        return s.components[static_cast<std::size_t>(c)].cycles;
-    };
-    EXPECT_EQ(comp(obs::LatComp::Mesh), 4u);
-    EXPECT_EQ(comp(obs::LatComp::Dram), 10u);
-    EXPECT_EQ(comp(obs::LatComp::Other), 6u);
-    EXPECT_EQ(s.attributedCycles(), s.totalCycles);
-}
+    // A parallel path that finished earlier costs nothing ...
+    ch.join(obs::LatComp::InvStall, 110);
+    EXPECT_EQ(ch.now(), 114u);
+    EXPECT_EQ(ch.components()[inv_stall], 0u);
+    // ... one that finishes later is charged only its overshoot.
+    ch.join(obs::LatComp::InvStall, 120);
+    EXPECT_EQ(ch.now(), 120u);
+    EXPECT_EQ(ch.components()[inv_stall], 6u);
 
-TEST(LatencyProfiler, OverlapChargesAreClippedInEnumOrder)
-{
-    // max()-joined parallel paths can tag more cycles than the
-    // transaction took; the excess must not inflate the attribution.
-    obs::LatencyProfiler lp;
-    lp.beginTxn();
-    lp.add(obs::LatComp::Mesh, 15);
-    lp.add(obs::LatComp::Dram, 10);
-    lp.endTxn(0, 20);
-
-    const obs::LatencyBreakdown s = lp.snapshot();
-    EXPECT_EQ(s.totalCycles, 20u);
-    EXPECT_EQ(s.overlapCycles, 5u);
-    const auto comp = [&s](obs::LatComp c) {
-        return s.components[static_cast<std::size_t>(c)].cycles;
-    };
-    // Mesh precedes Dram in the enum, so Dram absorbs the clip.
-    EXPECT_EQ(comp(obs::LatComp::Mesh), 15u);
-    EXPECT_EQ(comp(obs::LatComp::Dram), 5u);
-    EXPECT_EQ(comp(obs::LatComp::Other), 0u);
-    EXPECT_EQ(s.attributedCycles(), s.totalCycles);
+    EXPECT_EQ(ch.start(), 100u);
+    EXPECT_EQ(ch.latency(), 20u);
+    Cycle sum = 0;
+    for (Cycle c : ch.components())
+        sum += c;
+    EXPECT_EQ(sum, ch.latency());
 }
 
 TEST(LatencyProfiler, OffPathWorkStaysOutOfTransactionTotals)
 {
     obs::LatencyProfiler lp;
     lp.addOffPath(obs::LatComp::DeMemory, 7);
-    lp.beginTxn();
+    obs::LatencyChain ch(40);
+    ch.add(obs::LatComp::Mesh, 5);
     lp.addOffPath(obs::LatComp::DeMemory, 3);
-    lp.endTxn(0, 5);
+    lp.record(0, ch);
 
     const obs::LatencyBreakdown s = lp.snapshot();
     EXPECT_EQ(
         s.background[static_cast<std::size_t>(obs::LatComp::DeMemory)],
         10u);
-    EXPECT_EQ(s.totalCycles, 5u); // the txn itself, all residual
-    EXPECT_EQ(s.components[static_cast<std::size_t>(obs::LatComp::Other)]
+    EXPECT_EQ(s.totalCycles, 5u); // the txn itself
+    EXPECT_EQ(s.components[static_cast<std::size_t>(obs::LatComp::Mesh)]
                   .cycles,
               5u);
-}
-
-TEST(LatencyProfiler, DisabledAndOutOfTxnChargesAreIgnored)
-{
-    obs::LatencyProfiler lp;
-    lp.add(obs::LatComp::Mesh, 9); // no beginTxn: dropped
-    lp.setEnabled(false);
-    lp.beginTxn();
-    lp.add(obs::LatComp::Mesh, 9);
-    lp.endTxn(0, 9);
-    EXPECT_EQ(lp.transactions(), 0u);
-    EXPECT_EQ(lp.snapshot().totalCycles, 0u);
+    EXPECT_EQ(
+        s.components[static_cast<std::size_t>(obs::LatComp::DeMemory)]
+            .cycles,
+        0u);
 }
 
 TEST(LatencyProfiler, PerClassRowsAndPercentiles)
 {
     obs::LatencyProfiler lp;
     for (int i = 0; i < 3; ++i) {
-        lp.beginTxn();
-        lp.add(obs::LatComp::Dram, 8);
-        lp.endTxn(2, 10);
+        obs::LatencyChain ch(0);
+        ch.add(obs::LatComp::CoreLookup, 2);
+        ch.add(obs::LatComp::Dram, 8);
+        lp.record(2, ch);
     }
-    lp.beginTxn();
-    lp.endTxn(99, 10); // class out of range: txn counted, row dropped
+    obs::LatencyChain other(0);
+    other.add(obs::LatComp::Mesh, 10);
+    lp.record(99, other); // class out of range: txn counted, row dropped
 
     const obs::LatencyBreakdown s = lp.snapshot();
     EXPECT_EQ(s.transactions, 4u);
+    EXPECT_EQ(s.totalCycles, 40u);
     EXPECT_EQ(s.classes[2].count, 3u);
     EXPECT_EQ(s.classes[2].cycles, 30u);
     EXPECT_EQ(

@@ -13,11 +13,13 @@
 #include "common/config.hh"
 #include "core/cmp_system.hh"
 #include "obs/json.hh"
+#include "obs/latency.hh"
 #include "obs/probes.hh"
 #include "obs/report.hh"
 #include "obs/sampler.hh"
 #include "obs/trace.hh"
 #include "sim/runner.hh"
+#include "verify/differ.hh"
 #include "workload/workload.hh"
 
 namespace zerodev
@@ -218,6 +220,57 @@ TEST(ObsIntegration, RunReportMatchesStatDump)
                   static_cast<unsigned long long>(
                       obs::configFingerprint(a.cfg)));
     EXPECT_EQ(v->find("config")->str("fingerprint"), fp);
+}
+
+TEST(ObsIntegration, EveryVariantAttributesEveryCycle)
+{
+    // Every backend composes its latency through the same chain, so on
+    // every standard variant the profiler sees exactly the cycles
+    // access() returns, split into rows whose components add up.
+    const std::vector<TraceRecord> stream = verify::fuzzStream(3, 4, 6000);
+    const auto queue_wait = static_cast<std::size_t>(obs::LatComp::QueueWait);
+    for (const verify::Variant &v : verify::Differ::standardVariants(4)) {
+        SCOPED_TRACE(v.name);
+        CmpSystem sys(v.cfg);
+        obs::LatencyProfiler prof;
+        sys.attachLatencyProfiler(&prof);
+        // Requests issue in time order without waiting for earlier ones
+        // to complete, so phase-priority's bank queues fill up.
+        Cycle now = 0;
+        std::uint64_t returned = 0;
+        for (const TraceRecord &rec : stream) {
+            now += rec.access.gap;
+            returned += sys.access(rec.core, rec.access.type,
+                                   rec.access.block, now) -
+                        now;
+        }
+        sys.attachLatencyProfiler(nullptr);
+
+        const obs::LatencyBreakdown b = prof.snapshot();
+        EXPECT_EQ(b.transactions, stream.size());
+        EXPECT_EQ(b.totalCycles, returned);
+        std::uint64_t rows = 0;
+        for (const obs::LatencyBreakdown::ClassRow &row : b.classes) {
+            std::uint64_t sum = 0;
+            for (std::uint64_t c : row.compCycles)
+                sum += c;
+            EXPECT_EQ(sum, row.cycles);
+            rows += row.cycles;
+        }
+        EXPECT_EQ(rows, b.totalCycles);
+
+        const auto cycles = [&b](obs::LatComp c) {
+            return b.components[static_cast<std::size_t>(c)].cycles;
+        };
+        if (v.name == "dls") {
+            EXPECT_GT(cycles(obs::LatComp::Dram), 0u);
+            EXPECT_GT(cycles(obs::LatComp::Mesh), 0u);
+        }
+        if (v.name == "phasepri")
+            EXPECT_GT(b.components[queue_wait].cycles, 0u);
+        else
+            EXPECT_EQ(b.components[queue_wait].cycles, 0u);
+    }
 }
 
 } // namespace

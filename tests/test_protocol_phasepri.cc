@@ -14,6 +14,7 @@
 #include "coherence/backend.hh"
 #include "core/cmp_system.hh"
 #include "core/invariants.hh"
+#include "obs/latency.hh"
 #include "test_util.hh"
 
 namespace zerodev
@@ -76,6 +77,43 @@ TEST(PhasePriority, StoreOvertakesQueuedIfetchAtTheBank)
     EXPECT_GE(d.get("backend.queued_requests"), 1.0);
     EXPECT_GE(d.get("backend.queue_delay_cycles"), 1.0);
     assertInvariants(pp);
+}
+
+TEST(PhasePriority, QueuedMissCountsItsAdmissionDelay)
+{
+    // Same-bank ifetch misses issued back to back queue behind each
+    // other; each access's latency runs from its request time, so the
+    // admission wait must appear in the class statistics and in the
+    // profiler exactly as the backend counts it.
+    CmpSystem sys(tinyPhasePri());
+    obs::LatencyProfiler prof;
+    sys.attachLatencyProfiler(&prof);
+
+    // Blocks 100/102/104 all map to bank 0 of the tiny config.
+    std::uint64_t returned = 0;
+    const BlockAddr blocks[] = {100, 102, 104};
+    for (Cycle now = 0; now < 3; ++now) {
+        const Cycle done = sys.access(static_cast<CoreId>(now % 2),
+                                      AccessType::Ifetch, blocks[now], now);
+        returned += done - now;
+    }
+
+    const ProtocolStats &p = sys.protoStats();
+    std::uint64_t class_cycles = 0;
+    for (std::uint64_t c : p.classCycles)
+        class_cycles += c;
+    const obs::LatencyBreakdown b = prof.snapshot();
+    EXPECT_EQ(class_cycles, returned);
+    EXPECT_EQ(b.totalCycles, returned);
+
+    const double queued = sys.report().get("backend.queue_delay_cycles");
+    EXPECT_GT(queued, 0.0);
+    EXPECT_EQ(static_cast<double>(
+                  b.components[static_cast<std::size_t>(
+                                   obs::LatComp::QueueWait)]
+                      .cycles),
+              queued);
+    sys.attachLatencyProfiler(nullptr);
 }
 
 TEST(PhasePriority, VictimSelectionPrefersLowestPriorityPhase)
