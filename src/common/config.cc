@@ -1,6 +1,8 @@
 #include "common/config.hh"
 
 #include <cmath>
+#include <cstdarg>
+#include <cstdio>
 
 #include "common/bitops.hh"
 #include "common/log.hh"
@@ -130,41 +132,59 @@ SystemConfig::dirSetsPerSlice() const
     return per_slice == 0 ? 1 : per_slice;
 }
 
-void
-SystemConfig::validate() const
+namespace
+{
+
+/** printf into a std::string: the text of one failed config rule. */
+__attribute__((format(printf, 1, 2))) std::string
+reason(const char *fmt, ...)
+{
+    char buf[256];
+    std::va_list ap;
+    va_start(ap, fmt);
+    std::vsnprintf(buf, sizeof buf, fmt, ap);
+    va_end(ap);
+    return buf;
+}
+
+} // namespace
+
+std::string
+SystemConfig::check() const
 {
     if (!isPowerOfTwo(blockBytes))
-        fatal("block size %u is not a power of two", blockBytes);
+        return reason("block size %u is not a power of two", blockBytes);
     if (!isPowerOfTwo(llcBanks))
-        fatal("LLC bank count %u is not a power of two", llcBanks);
+        return reason("LLC bank count %u is not a power of two", llcBanks);
     if (llcBlocks() % (static_cast<std::uint64_t>(llcWays) * llcBanks) != 0)
-        fatal("LLC geometry does not divide evenly");
+        return "LLC geometry does not divide evenly";
     if (coresPerSocket > kMaxCores)
-        fatal("%u cores exceed the %u-core sharer vector",
-              coresPerSocket, kMaxCores);
+        return reason("%u cores exceed the %u-core sharer vector",
+                      coresPerSocket, kMaxCores);
     if (sockets > kMaxSockets)
-        fatal("%u sockets exceed the %u-socket limit", sockets, kMaxSockets);
+        return reason("%u sockets exceed the %u-socket limit", sockets,
+                      kMaxSockets);
     if (dirOrg == DirOrg::ZeroDev &&
         dirCachePolicy == DirCachePolicy::None) {
-        fatal("ZeroDEV requires a directory-entry caching policy");
+        return "ZeroDEV requires a directory-entry caching policy";
     }
     if (dirOrg != DirOrg::ZeroDev && directory.sizeRatio <= 0.0 &&
         dirOrg != DirOrg::Unbounded) {
-        fatal("a %s directory cannot be sized 0x", toString(dirOrg));
+        return reason("a %s directory cannot be sized 0x", toString(dirOrg));
     }
     if (directory.tagPartitions != 0) {
         if (dirOrg != DirOrg::SparseNru) {
-            fatal("directory tag partitioning requires the sparse-NRU "
-                  "organisation");
+            return "directory tag partitioning requires the sparse-NRU "
+                   "organisation";
         }
         if (directory.ways % directory.tagPartitions != 0) {
-            fatal("%u directory ways do not divide into %u tag "
-                  "partitions",
-                  directory.ways, directory.tagPartitions);
+            return reason("%u directory ways do not divide into %u tag "
+                          "partitions",
+                          directory.ways, directory.tagPartitions);
         }
         if (directory.tagPartitions > coresPerSocket) {
-            fatal("%u tag partitions exceed %u cores per socket",
-                  directory.tagPartitions, coresPerSocket);
+            return reason("%u tag partitions exceed %u cores per socket",
+                          directory.tagPartitions, coresPerSocket);
         }
     }
     if (protocol == ProtocolKind::Dls) {
@@ -173,34 +193,44 @@ SystemConfig::validate() const
         // directory knob is meaningless and must stay at a value the
         // backend can ignore safely.
         if (sockets != 1)
-            fatal("the DLS backend is single-socket");
+            return "the DLS backend is single-socket";
         if (llcFlavor != LlcFlavor::NonInclusive)
-            fatal("the DLS backend requires the non-inclusive LLC flavour");
+            return "the DLS backend requires the non-inclusive LLC flavour";
         if (dirCachePolicy != DirCachePolicy::None)
-            fatal("the DLS backend cannot cache directory entries");
+            return "the DLS backend cannot cache directory entries";
         if (directory.tagPartitions != 0)
-            fatal("the DLS backend has no directory tags to partition");
+            return "the DLS backend has no directory tags to partition";
     }
     if (protocol == ProtocolKind::PhasePriority) {
         // Phase-priority keeps the MESI directory flows but swaps the
         // organisation for its own priority-victim directory, driven
         // through the generic DirOrg path.
         if (sockets != 1)
-            fatal("the phase-priority backend is single-socket");
+            return "the phase-priority backend is single-socket";
         if (dirOrg != DirOrg::SparseNru) {
-            fatal("the phase-priority backend replaces the sparse-NRU "
-                  "organisation only");
+            return "the phase-priority backend replaces the sparse-NRU "
+                   "organisation only";
         }
         if (llcFlavor != LlcFlavor::NonInclusive) {
-            fatal("the phase-priority backend requires the non-inclusive "
-                  "LLC flavour");
+            return "the phase-priority backend requires the non-inclusive "
+                   "LLC flavour";
         }
         if (dirCachePolicy != DirCachePolicy::None)
-            fatal("the phase-priority backend cannot cache directory entries");
+            return "the phase-priority backend cannot cache directory "
+                   "entries";
         if (directory.tagPartitions != 0)
-            fatal("the phase-priority backend manages whole sets, not "
-                  "partitions");
+            return "the phase-priority backend manages whole sets, not "
+                   "partitions";
     }
+    return "";
+}
+
+void
+SystemConfig::validate() const
+{
+    const std::string why = check();
+    if (!why.empty())
+        fatal("%s", why.c_str());
 }
 
 SystemConfig

@@ -128,7 +128,7 @@ struct SystemConfig
      * Coherence protocol backend. MesiZeroDev (the default) is the
      * original MESI directory family and honours every field above; the
      * rival backends (Dls, PhasePriority) are single-socket and restrict
-     * the directory knobs they ignore (see validate()).
+     * the directory knobs they ignore (see check()).
      */
     ProtocolKind protocol = ProtocolKind::MesiZeroDev;
 
@@ -167,7 +167,13 @@ struct SystemConfig
         return llcBlocks() / llcWays / llcBanks;
     }
 
-    /** Validate derived geometry; calls fatal() on inconsistency. */
+    /**
+     * The first configuration rule that fails, as a one-line reason, or
+     * "" when every rule holds.
+     */
+    std::string check() const;
+
+    /** fatal() with check()'s reason when a rule fails. */
     void validate() const;
 };
 

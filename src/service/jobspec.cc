@@ -207,13 +207,9 @@ parseConfigSpec(const obs::JsonValue &spec, SystemConfig *out,
             out->directory.replacementDisabled = value.boolean;
         } else if (key == "tag_partitions") {
             if (!value.isNumber() || value.number < 0 ||
-                value.number > out->directory.ways ||
-                (value.number > 0 &&
-                 out->directory.ways %
-                         static_cast<std::uint32_t>(value.number) !=
-                     0))
-                return fail(err, "config.tag_partitions must divide "
-                                 "the directory ways");
+                value.number > out->directory.ways)
+                return fail(err, "config.tag_partitions must be in "
+                                 "[0, directory ways]");
             out->directory.tagPartitions =
                 static_cast<std::uint32_t>(value.number);
         } else if (key == "dir_cache_policy") {
@@ -242,27 +238,10 @@ parseConfigSpec(const obs::JsonValue &spec, SystemConfig *out,
         }
     }
 
-    // The rival backends restrict the knobs they ignore; reject here
-    // with a reason rather than letting validate() fatal() later.
-    if (out->protocol != ProtocolKind::MesiZeroDev) {
-        const std::string proto = toString(out->protocol);
-        if (out->sockets != 1)
-            return fail(err, "config.protocol " + proto +
-                                 " is single-socket only");
-        if (out->llcFlavor != LlcFlavor::NonInclusive)
-            return fail(err, "config.protocol " + proto +
-                                 " requires a non-inclusive LLC");
-        if (out->dirCachePolicy != DirCachePolicy::None)
-            return fail(err, "config.protocol " + proto +
-                                 " takes no dir_cache_policy");
-        if (out->directory.tagPartitions != 0)
-            return fail(err, "config.protocol " + proto +
-                                 " takes no tag_partitions");
-        if (out->protocol == ProtocolKind::PhasePriority &&
-            out->dirOrg != DirOrg::SparseNru)
-            return fail(err, "config.protocol phase-priority requires "
-                             "dir_org sparse-NRU");
-    }
+    // The same rules SystemConfig::validate() would fatal() on later.
+    const std::string why = out->check();
+    if (!why.empty())
+        return fail(err, "config: " + why);
     return true;
 }
 

@@ -18,6 +18,7 @@
 #include <fstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "obs/json.hh"
@@ -254,6 +255,22 @@ TEST_F(ServiceTest, MalformedRequestsRejected)
     const auto badType = parsed(d.handleLine(
         rpcSubmitJson(R"({"type":"frob","accesses":100})")));
     EXPECT_EQ(badType.str("error"), "bad-job");
+
+    // Configs that SystemConfig::validate() would fatal() on must be
+    // rejected at submit time: running one would take the daemon down.
+    const std::pair<const char *, const char *> badConfigs[] = {
+        {R"({"dir_org":"sparse-NRU","dir_ratio":0})", "cannot be sized 0x"},
+        {R"({"dir_org":"ZeroDEV"})", "caching policy"},
+        {R"({"tag_partitions":3})", "do not divide"},
+    };
+    for (const auto &[config, why] : badConfigs) {
+        const auto resp = parsed(d.handleLine(rpcSubmitJson(
+            std::string(R"({"type":"run","app":"fft","accesses":100,)") +
+            R"("config":)" + config + "}")));
+        EXPECT_EQ(resp.str("error"), "bad-job") << config;
+        EXPECT_NE(resp.str("detail").find(why), std::string::npos)
+            << config << ": " << resp.str("detail");
+    }
 
     // An oversized line is rejected before JSON parsing.
     std::string huge = "{\"op\":\"ping\",\"pad\":\"";
