@@ -164,7 +164,7 @@ DlsBackend::miss(SocketId sid, CoreId c, AccessType type, BlockAddr block,
         CmpSystem::send(s, MsgType::DataResp);
         ch.add(LatComp::LlcData, s.llc.dataCycles());
         ch.add(LatComp::Mesh, sys_.meshBankToCore(s, block, c));
-        s.llc.invalidateLine(*data);
+        s.llc.invalidateLine(probe, *data);
     } else if (holder != kInvalidCore) {
         s.llc.noteDataMiss();
         ++sys_.proto_.threeHopReads;
@@ -204,7 +204,7 @@ DlsBackend::upgrade(SocketId sid, CoreId c, BlockAddr block,
     // The writer takes exclusivity: the LLC data line leaves with it.
     LlcProbe probe = s.llc.probe(block);
     if (probe.data && probe.data->kind == LlcLineKind::Data)
-        s.llc.invalidateLine(*probe.data);
+        s.llc.invalidateLine(probe, *probe.data);
 
     CmpSystem::send(s, MsgType::AckResp);
     ch.add(LatComp::Mesh, sys_.meshBankToCore(s, block, c));

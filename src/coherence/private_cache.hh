@@ -55,6 +55,16 @@ struct PrivateCacheStats
 class PrivateCache
 {
   public:
+    /** An L2 line's payload: its MESI state. The block is not stored;
+     *  CacheArray::addrAt() rebuilds it from the set and tag. */
+    struct L2Line
+    {
+        MesiState state = MesiState::Invalid;
+
+        void reset() { state = MesiState::Invalid; }
+    };
+    static_assert(sizeof(L2Line) == 1, "an L2 payload is its MESI state");
+
     PrivateCache(const SystemConfig &cfg, CoreId core);
 
     /**
@@ -108,8 +118,8 @@ class PrivateCache
     void
     forEachBlock(Fn &&fn) const
     {
-        l2_.forEach([&](std::size_t, std::uint32_t, const L2Line &l) {
-            fn(l.block, l.state);
+        l2_.forEach([&](std::size_t s, std::uint32_t w, const L2Line &l) {
+            fn(l2_.addrAt(s, w), l.state);
         });
     }
 
@@ -118,14 +128,6 @@ class PrivateCache
     struct L1Line
     {
         void reset() {}
-    };
-
-    struct L2Line
-    {
-        MesiState state = MesiState::Invalid;
-        BlockAddr block = 0;
-
-        void reset() { state = MesiState::Invalid; }
     };
 
     CacheArray<L1Line> &l1For(AccessType type)

@@ -431,9 +431,11 @@ CmpSystem::llcAllocData(Socket &s, BlockAddr block, bool dirty, Cycle now,
     }
     const LlcVictim victim =
         s.llc.allocate(block, LlcLineKind::Data, dirty, DirEntry{});
-    LlcProbe fresh = s.llc.probe(block);
-    if (fresh.data && !global_exclusive)
-        fresh.data->globalShared = true;
+    // allocate() hands back the filled line. The tag lookup that marks
+    // it stays counted: lookups are simulated state.
+    s.llc.noteLookup();
+    if (!global_exclusive)
+        victim.filled->globalShared = true;
     handleLlcVictim(s, victim, now);
 }
 
@@ -461,7 +463,7 @@ CmpSystem::epdDeallocate(Socket &s, BlockAddr block)
 {
     LlcProbe probe = s.llc.probe(block);
     if (probe.data && probe.data->kind == LlcLineKind::Data)
-        s.llc.invalidateLine(*probe.data);
+        s.llc.invalidateLine(probe, *probe.data);
 }
 
 void

@@ -255,7 +255,7 @@ CmpSystem::handleLlcVictim(Socket &s, const LlcVictim &victim, Cycle now)
         LlcProbe probe = s.llc.probe(block);
         if (probe.data && probe.data->kind == LlcLineKind::Data) {
             const bool dirty = probe.data->dirty;
-            s.llc.invalidateLine(*probe.data);
+            s.llc.invalidateLine(probe, *probe.data);
             if (dirty) {
                 h.dram.write(block, now, false);
                 send(h, MsgType::MemWrite);

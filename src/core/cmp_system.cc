@@ -214,10 +214,10 @@ CmpSystem::peekTracking(SocketId sid, BlockAddr block) const
     LlcProbe p = s.llc.peek(block);
     if (p.spilled) {
         trk.where = TrackWhere::LlcSpilled;
-        trk.entry = p.spilled->de;
+        trk.entry = s.llc.entry(*p.spilled);
     } else if (p.data && p.data->kind == LlcLineKind::FusedDe) {
         trk.where = TrackWhere::LlcFused;
-        trk.entry = p.data->de;
+        trk.entry = s.llc.entry(*p.data);
     }
     return trk;
 }

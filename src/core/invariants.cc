@@ -93,6 +93,10 @@ checkInvariants(const CmpSystem &sys)
         // Ground truth: which cores of this socket cache which blocks.
         // One entry per cached copy, then merged per block.
         std::vector<Held> &cached = cachedBy[s];
+        std::size_t copies = 0;
+        for (CoreId c = 0; c < cfg.coresPerSocket; ++c)
+            copies += sys.privateCache(s, c).validBlocks();
+        cached.reserve(copies);
         for (CoreId c = 0; c < cfg.coresPerSocket; ++c) {
             sys.privateCache(s, c).forEachBlock(
                 [&](BlockAddr b, MesiState st) {
@@ -206,8 +210,9 @@ checkInvariants(const CmpSystem &sys)
         // 3. LLC line rules.
         const Llc &llc = sys.llc(s);
         std::vector<Tag> &tags = tagsBy[s];
-        llc.forEach([&](const LlcLine &l) {
-            tags.emplace_back(l.block, l.kind);
+        tags.reserve(llc.occupiedLines());
+        llc.forEach([&](BlockAddr b, const LlcLine &l) {
+            tags.emplace_back(b, l.kind);
             switch (l.kind) {
               case LlcLineKind::Data:
                 break;
@@ -215,15 +220,15 @@ checkInvariants(const CmpSystem &sys)
                 if (dls) {
                     violate("dls-no-directory-lines",
                             "directoryless LLC holds a fused entry for " +
-                                hex(l.block));
+                                hex(b));
                     break;
                 }
-                check_entry(l.block, l.de, "fused-line");
+                check_entry(b, llc.entry(l), "fused-line");
                 if (zerodev &&
                     cfg.dirCachePolicy == DirCachePolicy::Fpss &&
-                    l.de.state != DirState::Owned) {
+                    llc.entry(l).state != DirState::Owned) {
                     violate("fpss-fused-owned",
-                            "FPSS fused entry for " + hex(l.block) +
+                            "FPSS fused entry for " + hex(b) +
                                 " is not in M/E state");
                 }
                 break;
@@ -232,10 +237,10 @@ checkInvariants(const CmpSystem &sys)
                     violate("dls-no-directory-lines",
                             "directoryless LLC holds a spilled entry "
                             "for " +
-                                hex(l.block));
+                                hex(b));
                     break;
                 }
-                check_entry(l.block, l.de, "spilled-line");
+                check_entry(b, llc.entry(l), "spilled-line");
                 break;
               case LlcLineKind::Invalid:
                 break;
@@ -259,12 +264,12 @@ checkInvariants(const CmpSystem &sys)
         // FPSS: a spilled entry co-resident with its data block must be
         // in S state (the two-tag-match critical-path invariant).
         if (zerodev && cfg.dirCachePolicy == DirCachePolicy::Fpss) {
-            llc.forEach([&](const LlcLine &l) {
+            llc.forEach([&](BlockAddr b, const LlcLine &l) {
                 if (l.kind == LlcLineKind::SpilledDe &&
-                    llc_has_data(l.block) &&
-                    l.de.state != DirState::Shared) {
+                    llc_has_data(b) &&
+                    llc.entry(l).state != DirState::Shared) {
                     violate("fpss-spilled-shared",
-                            "FPSS spilled entry for " + hex(l.block) +
+                            "FPSS spilled entry for " + hex(b) +
                                 " co-resident with its block is not S");
                 }
             });

@@ -80,9 +80,9 @@ CmpSystem::invalidateRemoteSharers(Socket &s, BlockAddr block, Cycle now)
         }
         LlcProbe probe = gs.llc.probe(block);
         if (probe.data)
-            gs.llc.invalidateLine(*probe.data);
+            gs.llc.invalidateLine(probe, *probe.data);
         if (probe.spilled)
-            gs.llc.invalidateLine(*probe.spilled);
+            gs.llc.invalidateLine(probe, *probe.spilled);
         send(s, MsgType::Inv);
         send(gs, MsgType::InvAck);
         se.sharers.reset(g);
@@ -115,9 +115,9 @@ CmpSystem::supplyFromSocket(Socket &f, BlockAddr block, bool invalidate_all,
             ch.add(LatComp::LlcData, f.llc.dataCycles());
             f.llc.noteDataRead();
             if (invalidate_all) {
-                f.llc.invalidateLine(*probe.data);
+                f.llc.invalidateLine(probe, *probe.data);
                 if (probe.spilled)
-                    f.llc.invalidateLine(*probe.spilled);
+                    f.llc.invalidateLine(probe, *probe.spilled);
                 socketEntry(block).sharers.reset(f.id);
             } else {
                 probe.data->globalShared = true;
@@ -148,9 +148,9 @@ CmpSystem::supplyFromSocket(Socket &f, BlockAddr block, bool invalidate_all,
         writeTracking(f, block, trk.where, dead, now);
         LlcProbe probe = f.llc.probe(block);
         if (probe.data)
-            f.llc.invalidateLine(*probe.data);
+            f.llc.invalidateLine(probe, *probe.data);
         if (probe.spilled)
-            f.llc.invalidateLine(*probe.spilled);
+            f.llc.invalidateLine(probe, *probe.spilled);
         socketEntry(block).sharers.reset(f.id);
     } else {
         if (entry.state == DirState::Owned) {
@@ -325,9 +325,9 @@ CmpSystem::serveSocketMissMulti(Socket &s, CoreId c, AccessType type,
                 }
                 LlcProbe probe = gs.llc.probe(block);
                 if (probe.data)
-                    gs.llc.invalidateLine(*probe.data);
+                    gs.llc.invalidateLine(probe, *probe.data);
                 if (probe.spilled)
-                    gs.llc.invalidateLine(*probe.spilled);
+                    gs.llc.invalidateLine(probe, *probe.spilled);
                 send(h, MsgType::Inv);
                 send(gs, MsgType::InvAck);
                 se.sharers.reset(g);
@@ -424,9 +424,9 @@ CmpSystem::serveSocketMissMulti(Socket &s, CoreId c, AccessType type,
                 }
                 LlcProbe probe = gs.llc.probe(block);
                 if (probe.data)
-                    gs.llc.invalidateLine(*probe.data);
+                    gs.llc.invalidateLine(probe, *probe.data);
                 if (probe.spilled)
-                    gs.llc.invalidateLine(*probe.spilled);
+                    gs.llc.invalidateLine(probe, *probe.spilled);
                 se.sharers.reset(g);
             }
             se.sharers.set(s.id);

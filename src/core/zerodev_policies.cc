@@ -37,11 +37,11 @@ CmpSystem::findTracking(Socket &s, BlockAddr block)
     LlcProbe p = s.llc.probe(block);
     if (p.spilled) {
         trk.where = TrackWhere::LlcSpilled;
-        trk.entry = p.spilled->de;
+        trk.entry = s.llc.entry(*p.spilled);
         s.llc.touchSpilled(p);
     } else if (p.data && p.data->kind == LlcLineKind::FusedDe) {
         trk.where = TrackWhere::LlcFused;
-        trk.entry = p.data->de;
+        trk.entry = s.llc.entry(*p.data);
         s.llc.touchData(p);
     }
     return trk;
@@ -90,7 +90,7 @@ CmpSystem::writeTracking(Socket &s, BlockAddr block, TrackWhere where,
             return;
         }
         if (!entry.live()) {
-            s.llc.invalidateLine(*p.spilled);
+            s.llc.invalidateLine(p, *p.spilled);
             return;
         }
         if (cfg_.dirCachePolicy == DirCachePolicy::Fpss &&
@@ -98,14 +98,14 @@ CmpSystem::writeTracking(Socket &s, BlockAddr block, TrackWhere where,
             p.data->kind == LlcLineKind::Data) {
             // S -> M/E with the block resident: free the spilled entry
             // and fuse it into the block (FPSS invariant, Sec. III-C2).
-            s.llc.invalidateLine(*p.spilled);
+            s.llc.invalidateLine(p, *p.spilled);
             s.llc.fuse(*p.data, entry);
             ZDEV_TRACE(trc_, obs::TraceEventKind::Fuse,
                        obs::TraceComp::Llc, s.id, 0, block, now, 0, 0,
                        txn_);
             return;
         }
-        p.spilled->de = entry;
+        s.llc.setEntry(*p.spilled, entry);
         s.llc.noteDeUpdate();
         s.llc.touchSpilled(p);
         return;
@@ -144,7 +144,7 @@ CmpSystem::writeTracking(Socket &s, BlockAddr block, TrackWhere where,
             handleLlcVictim(s, victim, now);
             return;
         }
-        p.data->de = entry;
+        s.llc.setEntry(*p.data, entry);
         s.llc.noteDeUpdate();
         return;
       }

@@ -149,10 +149,9 @@ SparseDirectory::alloc(BlockAddr block, std::uint32_t domain)
             tagPartitions_ == 0
                 ? slice.nru.victim(set)
                 : slice.nru.victimIn(set, way_first, way_count);
-        const Line &vline = slice.array.line(set, victim);
         res.evictedVictim = true;
-        res.victimBlock = vline.block;
-        res.victimEntry = vline.payload;
+        res.victimBlock = blockAt(sliceOf(block), set, victim);
+        res.victimEntry = slice.array.line(set, victim).payload;
         ++stats_.evictions;
         slice.array.release(set, victim);
         slice.nru.reset(set, victim);
@@ -162,7 +161,6 @@ SparseDirectory::alloc(BlockAddr block, std::uint32_t domain)
 
     slice.array.occupy(set, free_way.way, tagOfBlock(block));
     Line &line = slice.array.line(set, free_way.way);
-    line.block = block;
     line.payload.clear();
     slice.array.touch(set, free_way.way);
     slice.nru.touch(set, free_way.way);
@@ -222,12 +220,13 @@ SparseDirectory::save(SerialOut &out) const
             saveEntry(out, *map_.find(block));
         }
     } else {
-        for (const Slice &slice : slices_) {
-            slice.array.save(out, [](SerialOut &o, const Line &l) {
-                o.u64(l.block);
+        for (std::uint32_t i = 0; i < numSlices_; ++i) {
+            slices_[i].array.save(out, [&](SerialOut &o, std::size_t s,
+                                           std::uint32_t w, const Line &l) {
+                o.u64(blockAt(i, s, w));
                 saveEntry(o, l.payload);
             });
-            slice.nru.save(out);
+            slices_[i].nru.save(out);
         }
     }
     out.u64(live_);
@@ -257,12 +256,15 @@ SparseDirectory::restore(SerialIn &in)
             map_[block] = loadEntry(in);
         }
     } else {
-        for (Slice &slice : slices_) {
-            slice.array.restore(in, [](SerialIn &i, Line &l) {
-                l.block = i.u64();
-                l.payload = loadEntry(i);
+        for (std::uint32_t i = 0; i < numSlices_; ++i) {
+            slices_[i].array.restore(in, [&](SerialIn &si, std::size_t s,
+                                             std::uint32_t w, Line &l) {
+                si.check(si.u64() == blockAt(i, s, w),
+                         "sparse directory block does not match its "
+                         "slice, set and tag");
+                l.payload = loadEntry(si);
             });
-            slice.nru.restore(in);
+            slices_[i].nru.restore(in);
         }
     }
     live_ = in.u64();

@@ -128,22 +128,25 @@ class SparseDirectory
             map_.forEach(fn);
             return;
         }
-        for (const auto &slice : slices_) {
-            slice.array.forEach(
-                [&](std::size_t, std::uint32_t, const Line &l) {
-                    fn(l.block, l.payload);
+        for (std::uint32_t i = 0; i < numSlices_; ++i) {
+            slices_[i].array.forEach(
+                [&](std::size_t s, std::uint32_t w, const Line &l) {
+                    fn(blockAt(i, s, w), l.payload);
                 });
         }
     }
 
   private:
+    /** The block is not stored: blockAt() rebuilds it from the slice,
+     *  set and tag. */
     struct Line
     {
-        BlockAddr block = 0;  //!< full block address for victim reporting
         DirEntry payload;
 
         void reset() { payload.clear(); }
     };
+    static_assert(sizeof(Line) == sizeof(DirEntry),
+                  "a directory line is its entry");
 
     struct Slice
     {
@@ -158,6 +161,14 @@ class SparseDirectory
     std::uint32_t sliceOf(BlockAddr block) const;
     std::size_t setOf(BlockAddr block) const;
     std::uint64_t tagOfBlock(BlockAddr block) const;
+
+    /** Block held at (@p set, @p way) of slice @p slice. */
+    BlockAddr
+    blockAt(std::uint32_t slice, std::size_t set, std::uint32_t way) const
+    {
+        return (slices_[slice].array.addrAt(set, way) << sliceShift_) |
+               slice;
+    }
 
     std::uint32_t numSlices_;
     std::uint64_t setsPerSlice_;

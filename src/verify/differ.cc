@@ -599,9 +599,9 @@ Differ::runImpl(const std::vector<TraceRecord> &stream,
                             retrievable.push_back(b);
                         });
                 }
-                sys.llc(s).forEach([&](const LlcLine &l) {
+                sys.llc(s).forEach([&](BlockAddr b, const LlcLine &l) {
                     if (l.kind == LlcLineKind::Data)
-                        retrievable.push_back(l.block);
+                        retrievable.push_back(b);
                 });
             }
             std::sort(retrievable.begin(), retrievable.end());

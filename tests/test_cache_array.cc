@@ -152,6 +152,26 @@ TEST(CacheArray, NonPowerOfTwoTagMatchesDivision)
     }
 }
 
+TEST(CacheArray, AddrAtInvertsSetAndTag)
+{
+    // Power-of-two sets take the shift path, 6 and 12 sets the
+    // multiply-shift path: on both, (setOfAddr, tagOfAddr) must name a
+    // unique line whose addrAt() gives the address back.
+    for (const std::size_t sets : {std::size_t{1}, std::size_t{16},
+                                   std::size_t{6}, std::size_t{12}}) {
+        CacheArray<TestLine> arr(sets, 2);
+        for (const std::uint64_t a :
+             {0ull, 1ull, 2ull, 5ull, 6ull, 7ull, 35ull, 36ull, 1000ull,
+              0x123456789abcull, (1ull << 58) - 1}) {
+            const std::size_t set = arr.setOfAddr(a);
+            ASSERT_LT(set, sets) << "addr " << a;
+            arr.occupy(set, 1, arr.tagOfAddr(a));
+            EXPECT_EQ(arr.addrAt(set, 1), a)
+                << "addr " << a << ", " << sets << " sets";
+        }
+    }
+}
+
 TEST(MulShiftDiv, ExactForAwkwardDivisors)
 {
     const std::uint64_t divisors[] = {1,    2,    3,

@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <tuple>
+#include <vector>
+
 #include "coherence/llc_bank.hh"
 #include "coherence/private_cache.hh"
 #include "test_util.hh"
@@ -18,6 +22,11 @@ namespace
 
 using testutil::llcConflictBlock;
 using testutil::tinyConfig;
+
+// Lines at their real width: the LLC payload fits a word (its entry is
+// in the pool) and an L2 payload is its MESI state.
+static_assert(sizeof(LlcLine) <= 8);
+static_assert(sizeof(PrivateCache::L2Line) == 1);
 
 TEST(PrivateCache, MissThenFillThenHit)
 {
@@ -132,7 +141,7 @@ TEST(Llc, ProbeFindsDataAndSpilled)
     ASSERT_NE(p.spilled, nullptr);
     EXPECT_EQ(p.data->kind, LlcLineKind::Data);
     EXPECT_EQ(p.spilled->kind, LlcLineKind::SpilledDe);
-    EXPECT_TRUE(p.spilled->de.isSharer(1));
+    EXPECT_TRUE(llc.entry(*p.spilled).isSharer(1));
 }
 
 TEST(Llc, FuseAndUnfusePreserveDirtyBit)
@@ -255,8 +264,82 @@ TEST(Llc, OccupancyCounters)
     EXPECT_EQ(llc.stats().peakDeLines, 1u);
     LlcProbe p = llc.probe(llcConflictBlock(1));
     ASSERT_NE(p.spilled, nullptr);
-    llc.invalidateLine(*p.spilled);
+    llc.invalidateLine(p, *p.spilled);
     EXPECT_EQ(llc.deLines(), 0u);
+}
+
+using DeLine = std::tuple<BlockAddr, LlcLineKind, DirState, SharerSet>;
+
+/** Every DE-bearing line of @p llc with its entry, sorted by block. */
+std::vector<DeLine>
+deLinesOf(const Llc &llc)
+{
+    std::vector<DeLine> out;
+    llc.forEach([&](BlockAddr b, const LlcLine &l) {
+        if (l.holdsDe())
+            out.emplace_back(b, l.kind, llc.entry(l).state,
+                             llc.entry(l).sharers);
+    });
+    std::sort(out.begin(), out.end(), [](const auto &x, const auto &y) {
+        return std::get<0>(x) < std::get<0>(y) ||
+               (std::get<0>(x) == std::get<0>(y) &&
+                std::get<1>(x) < std::get<1>(y));
+    });
+    return out;
+}
+
+TEST(Llc, EntryPoolSurvivesChurnAndRestore)
+{
+    Llc llc = makeLlc(LlcReplPolicy::Lru);
+    // Spill entries into two sets and fuse some data lines.
+    for (std::uint32_t i = 0; i < 12; ++i) {
+        DirEntry e;
+        e.addSharer(i % 2);
+        llc.allocate(llcConflictBlock(i, 1), LlcLineKind::SpilledDe, false,
+                     e);
+        llc.allocate(llcConflictBlock(i, 2), LlcLineKind::Data, i % 3 == 0,
+                     DirEntry{});
+        DirEntry owned;
+        owned.makeOwned(i % 2);
+        llc.fuse(*llc.probe(llcConflictBlock(i, 2)).data, owned);
+    }
+    // Unfuse a few, drop a spilled entry, and update one in place.
+    for (std::uint32_t i = 0; i < 12; i += 4)
+        llc.unfuse(*llc.probe(llcConflictBlock(i, 2)).data);
+    LlcProbe p = llc.probe(llcConflictBlock(5, 1));
+    llc.invalidateLine(p, *p.spilled);
+    DirEntry wide;
+    wide.addSharer(0);
+    wide.addSharer(1);
+    llc.setEntry(*llc.probe(llcConflictBlock(6, 1)).spilled, wide);
+    // Overfill set 1 with data so plain LRU evicts the oldest entries;
+    // their slots are reused by the next spills.
+    for (std::uint32_t i = 20; i < 26; ++i)
+        llc.allocate(llcConflictBlock(i, 1), LlcLineKind::Data, false,
+                     DirEntry{});
+    DirEntry late;
+    late.addSharer(1);
+    llc.allocate(llcConflictBlock(30, 1), LlcLineKind::SpilledDe, false,
+                 late);
+    EXPECT_GT(llc.stats().deEvictions, 0u);
+
+    const auto before = deLinesOf(llc);
+    EXPECT_EQ(before.size(), llc.deLines());
+    EXPECT_EQ(llc.spilledLines() + llc.fusedLines(), llc.deLines());
+
+    SerialOut out;
+    llc.save(out);
+    Llc copy = makeLlc(LlcReplPolicy::Lru);
+    SerialIn in(out.data());
+    copy.restore(in);
+    ASSERT_TRUE(in.ok()) << in.error();
+    EXPECT_EQ(deLinesOf(copy), before);
+    EXPECT_EQ(copy.deLines(), before.size());
+    EXPECT_EQ(copy.spilledLines(), llc.spilledLines());
+    EXPECT_EQ(copy.fusedLines(), llc.fusedLines());
+    SerialOut again;
+    copy.save(again);
+    EXPECT_EQ(again.data(), out.data());
 }
 
 } // namespace

@@ -330,7 +330,7 @@ TEST(InvariantRules, Inclusion)
     Llc &llc = mut(sys.llc(0));
     const LlcProbe p = llc.probe(7);
     ASSERT_NE(p.data, nullptr);
-    llc.invalidateLine(*p.data);
+    llc.invalidateLine(p, *p.data);
     EXPECT_EQ(firstDetail(sys, "inclusion"),
               "block 0x7 cached privately but absent from an inclusive "
               "LLC");

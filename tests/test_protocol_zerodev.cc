@@ -277,10 +277,10 @@ TEST(ZeroDev, DataLruPreventsEntryEvictionBeforeBlock)
         t = touch(sys, 1, AccessType::Ifetch, llcConflictBlock(i), t + 50);
     }
     const Llc &llc = sys.llc(0);
-    llc.forEach([&](const LlcLine &l) {
+    llc.forEach([&](BlockAddr b, const LlcLine &l) {
         if (l.kind == LlcLineKind::Data) {
             // Its entry must be somewhere in the socket, not in memory.
-            Tracking trk = sys.peekTracking(0, l.block);
+            Tracking trk = sys.peekTracking(0, b);
             EXPECT_TRUE(trk.found())
                 << "data line without in-socket entry";
         }
