@@ -124,7 +124,8 @@ void
 SocketDirectory::save(SerialOut &out) const
 {
     out.u8(backing_ == Backing::DirEvictBit ? 1 : 0);
-    tags_.save(out, [](SerialOut &o, const TagLine &l) {
+    tags_.save(out, [](SerialOut &o, std::size_t, std::uint32_t,
+                       const TagLine &l) {
         o.u64(l.block);
     });
     std::vector<BlockAddr> keys;
@@ -153,7 +154,8 @@ SocketDirectory::restore(SerialIn &in)
     if (!in.check(devBit == (backing_ == Backing::DirEvictBit),
                   "socket directory backing mismatch"))
         return;
-    tags_.restore(in, [](SerialIn &i, TagLine &l) {
+    tags_.restore(in, [](SerialIn &i, std::size_t, std::uint32_t,
+                         TagLine &l) {
         l.block = i.u64();
     });
     store_.clear();

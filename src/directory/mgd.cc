@@ -277,7 +277,8 @@ MultiGrainDirectory::save(SerialOut &out) const
     out.u32(numSlices_);
     out.u32(blocksPerRegion_);
     for (const Slice &slice : slices_) {
-        slice.array.save(out, [](SerialOut &o, const Line &l) {
+        slice.array.save(out, [](SerialOut &o, std::size_t, std::uint32_t,
+                                 const Line &l) {
             o.b(l.isRegion);
             o.u64(l.base);
             o.u32(l.owner);
@@ -301,7 +302,8 @@ MultiGrainDirectory::restore(SerialIn &in)
                   "MgD geometry mismatch"))
         return;
     for (Slice &slice : slices_) {
-        slice.array.restore(in, [](SerialIn &i, Line &l) {
+        slice.array.restore(in, [](SerialIn &i, std::size_t, std::uint32_t,
+                                   Line &l) {
             l.isRegion = i.b();
             l.base = i.u64();
             l.owner = i.u32();

@@ -283,12 +283,14 @@ SecDir::save(SerialOut &out) const
     out.u32(cores_);
     out.u32(numSlices_);
     for (const Slice &slice : slices_) {
-        slice.shared.save(out, [](SerialOut &o, const SharedLine &l) {
+        slice.shared.save(out, [](SerialOut &o, std::size_t, std::uint32_t,
+                                  const SharedLine &l) {
             o.u64(l.block);
             saveEntry(o, l.payload);
         });
         for (const auto &zone : slice.priv) {
-            zone.save(out, [](SerialOut &o, const PrivateLine &l) {
+            zone.save(out, [](SerialOut &o, std::size_t, std::uint32_t,
+                              const PrivateLine &l) {
                 o.u64(l.block);
                 o.b(l.owned);
             });
@@ -307,12 +309,14 @@ SecDir::restore(SerialIn &in)
                   "SecDir geometry mismatch"))
         return;
     for (Slice &slice : slices_) {
-        slice.shared.restore(in, [](SerialIn &i, SharedLine &l) {
+        slice.shared.restore(in, [](SerialIn &i, std::size_t, std::uint32_t,
+                                    SharedLine &l) {
             l.block = i.u64();
             l.payload = loadEntry(i);
         });
         for (auto &zone : slice.priv) {
-            zone.restore(in, [](SerialIn &i, PrivateLine &l) {
+            zone.restore(in, [](SerialIn &i, std::size_t, std::uint32_t,
+                                PrivateLine &l) {
                 l.block = i.u64();
                 l.owned = i.b();
             });
