@@ -70,7 +70,7 @@ const char *const kUsage =
     "  replay <file> [baseline|unbounded|zerodev|dls|phasepri]\n"
     "      [--snapshot FILE [--every N]] [--restore FILE]\n"
     "      replay a trace on a system configuration. --snapshot writes\n"
-    "      zerodev-snapshot-v2 checkpoints every N accesses (a \"{n}\"\n"
+    "      zerodev-snapshot-v3 checkpoints every N accesses (a \"{n}\"\n"
     "      in FILE becomes the access count; default N from\n"
     "      ZERODEV_SNAPSHOT_EVERY); --restore resumes bit-identically\n"
     "      from a checkpoint\n"

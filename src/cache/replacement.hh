@@ -2,13 +2,14 @@
  * @file
  * Replacement-policy building blocks.
  *
- * LRU ordering is realised with monotonically increasing use stamps stored
- * per line; victim selection is a scan of the set (associativities here
- * are at most 16, so a scan is both simple and fast). The Section III-D
- * extensions (spLRU, dataLRU) are expressed as a priority class supplied
- * by the caller: the victim is the LRU line within the lowest-priority
- * non-empty class, so dataLRU evicts every ordinary block in a set before
- * any spilled/fused entry.
+ * LRU ordering lives in CacheArray as one recency rank byte per way,
+ * counted within the set (0 = most recently used): LRU, spLRU and
+ * dataLRU only ever compare the ways of one set. Victim selection is a
+ * scan of the set (associativities here are at most 16, so a scan is
+ * both simple and fast). The Section III-D extensions (spLRU, dataLRU)
+ * are expressed as a priority class supplied by the caller: the victim
+ * is the LRU line within the lowest-priority non-empty class, so dataLRU
+ * evicts every ordinary block in a set before any spilled/fused entry.
  *
  * The sparse directory uses 1-bit NRU (Table I), provided by NruState.
  */
@@ -24,23 +25,6 @@ namespace zerodev
 
 class SerialIn;
 class SerialOut;
-
-/** Monotonic stamp source backing LRU ordering for one cache array. */
-class LruClock
-{
-  public:
-    /** Next stamp; strictly increasing. */
-    std::uint64_t tick() { return ++now_; }
-
-    /** Current stamp (stamp of the most recent touch). */
-    std::uint64_t now() const { return now_; }
-
-    /** Snapshot restore: resume stamping from @p now. */
-    void setNow(std::uint64_t now) { now_ = now; }
-
-  private:
-    std::uint64_t now_ = 0;
-};
 
 /**
  * One-bit NRU state for a fixed number of ways, as used by the sparse

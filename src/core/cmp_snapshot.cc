@@ -1,7 +1,7 @@
 /**
  * @file
  * CmpSystem state serialization: the "System" payload of a
- * zerodev-snapshot-v2 container (sim/snapshot.hh). The stream is guarded
+ * zerodev-snapshot-v3 container (sim/snapshot.hh). The stream is guarded
  * by the config fingerprint — geometry is never serialized redundantly;
  * a restore target must be constructed from the identical SystemConfig,
  * and every component then checks its own derived geometry as a backstop.

@@ -243,7 +243,7 @@ class CmpSystem
      *  On mismatch/corruption the error is reported through @p in. */
     void restoreState(SerialIn &in);
 
-    /** Write / read a `zerodev-snapshot-v2` container file holding this
+    /** Write / read a `zerodev-snapshot-v3` container file holding this
      *  system's state. Returns false and sets @p err on failure. */
     bool saveSnapshot(const std::string &path,
                       std::string *err = nullptr) const;

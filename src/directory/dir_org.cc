@@ -229,16 +229,22 @@ PhasePriorityOrg::save(SerialOut &out) const
 void
 PhasePriorityOrg::restore(SerialIn &in)
 {
-    const std::uint64_t n = in.u64();
-    if (n != lines_.size())
-        panic("PhasePriorityOrg: geometry mismatch on restore");
+    if (!in.check(in.u64() == lines_.size(),
+                  "phase-priority directory geometry mismatch"))
+        return;
+    std::uint64_t held = 0;
     for (Line &l : lines_) {
         l.block = in.u64();
         l.entry = loadEntry(in);
         l.phase = in.u8();
         l.tick = in.u64();
+        held += l.entry.live();
     }
     live_ = in.u64();
+    if (!in.check(live_ == held,
+                  "phase-priority directory live count does not match "
+                  "its lines"))
+        return;
     tick_ = in.u64();
     phase_ = in.u8();
     restoreOrgStats(in);

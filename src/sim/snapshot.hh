@@ -1,12 +1,12 @@
 /**
  * @file
- * The `zerodev-snapshot-v2` container: a versioned, CRC-checked file of
+ * The `zerodev-snapshot-v3` container: a versioned, CRC-checked file of
  * named binary sections, used to checkpoint and resume simulations.
  *
  * Layout (everything little-endian):
  *
  *     8 bytes   magic "ZDEVSNAP"
- *     u32       container version (2)
+ *     u32       container version (3)
  *     u32       section count
  *     per section:
  *         str   name (u32 length + bytes)
@@ -42,7 +42,7 @@ namespace zerodev
 class CmpSystem;
 
 /** Container version this build reads and writes. */
-constexpr std::uint32_t kSnapshotVersion = 2;
+constexpr std::uint32_t kSnapshotVersion = 3;
 
 /** The 8 magic bytes opening every snapshot file. */
 extern const std::uint8_t kSnapshotMagic[8];

@@ -103,7 +103,7 @@ struct DifferOptions
 /**
  * A lockstep checkpoint: every instance's serialized system image plus
  * the harness state (simulated time, poisoned blocks, the shadow
- * store-version oracle). Saved files use the zerodev-snapshot-v2
+ * store-version oracle). Saved files use the zerodev-snapshot-v3
  * container (one "differ" section), so they share the magic/CRC/version
  * handling with run checkpoints.
  */

@@ -1,15 +1,19 @@
 /**
  * @file
- * Unit tests for the generic cache array (SoA tag/LRU/occupancy layout),
- * LRU victim classes and the 1-bit NRU state used by the sparse
- * directory.
+ * Unit tests for the generic cache array (SoA tag/occupancy layout with
+ * per-set LRU rank bytes), LRU victim classes and the 1-bit NRU state
+ * used by the sparse directory.
  */
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <vector>
+
 #include "cache/cache_array.hh"
 #include "cache/replacement.hh"
 #include "common/bitops.hh"
+#include "common/serialize.hh"
 
 namespace zerodev
 {
@@ -123,6 +127,202 @@ TEST(CacheArray, VictimHonoursExcludedWay)
     EXPECT_EQ(arr.victim(
                   0, [](const TestLine &) { return 0; }, 1),
               0u);
+}
+
+TEST(CacheArray, NewArrayRanksWayZeroOldest)
+{
+    CacheArray<TestLine> arr(2, 9);
+    for (std::uint32_t w = 0; w < 9; ++w)
+        EXPECT_EQ(arr.rankAt(1, w), 8 - w);
+    arr.touch(1, 4);
+    EXPECT_EQ(arr.rankAt(1, 4), 0u);
+    EXPECT_EQ(arr.rankAt(1, 8), 1u); // was 0, now one older
+    EXPECT_EQ(arr.rankAt(1, 0), 8u); // older than way 4: unchanged
+    EXPECT_EQ(arr.rankAt(0, 4), 4u); // other sets untouched
+}
+
+/**
+ * Reference LRU with a 64-bit stamp per way from one clock, as the array
+ * kept before rank bytes: a touch takes the next clock value, untouched
+ * ways hold 0, and equal stamps rank the lower way older.
+ */
+class StampLru
+{
+  public:
+    StampLru(std::size_t sets, std::uint32_t ways)
+        : ways_(ways), stamp_(sets * ways, 0), occ_(sets * ways, false),
+          cls_(sets * ways, 0)
+    {
+    }
+
+    void touch(std::size_t s, std::uint32_t w) { at(stamp_, s, w) = ++clock_; }
+
+    void
+    occupy(std::size_t s, std::uint32_t w, int cls)
+    {
+        at(occ_, s, w) = true;
+        at(cls_, s, w) = cls;
+    }
+
+    void release(std::size_t s, std::uint32_t w) { at(occ_, s, w) = false; }
+    bool occupied(std::size_t s, std::uint32_t w) { return at(occ_, s, w); }
+
+    /** Is way @p a of set @p s older than way @p b? */
+    bool
+    older(std::size_t s, std::uint32_t a, std::uint32_t b)
+    {
+        const std::uint64_t sa = at(stamp_, s, a), sb = at(stamp_, s, b);
+        return sa < sb || (sa == sb && a < b);
+    }
+
+    /** Ways of @p s younger than @p w, counting only occupied ones when
+     *  @p occupiedOnly. */
+    std::uint32_t
+    rank(std::size_t s, std::uint32_t w, bool occupiedOnly)
+    {
+        std::uint32_t r = 0;
+        for (std::uint32_t v = 0; v < ways_; ++v)
+            r += v != w && older(s, w, v) &&
+                 (!occupiedOnly || occupied(s, v));
+        return r;
+    }
+
+    std::uint32_t
+    victim(std::size_t s, std::int32_t exclude)
+    {
+        for (std::uint32_t w = 0; w < ways_; ++w) {
+            if (static_cast<std::int32_t>(w) != exclude && !occupied(s, w))
+                return w;
+        }
+        std::int32_t best = -1;
+        for (std::uint32_t w = 0; w < ways_; ++w) {
+            if (static_cast<std::int32_t>(w) == exclude)
+                continue;
+            const auto b = static_cast<std::uint32_t>(best);
+            if (best < 0 || at(cls_, s, w) < at(cls_, s, b) ||
+                (at(cls_, s, w) == at(cls_, s, b) && older(s, w, b)))
+                best = static_cast<std::int32_t>(w);
+        }
+        return static_cast<std::uint32_t>(best);
+    }
+
+  private:
+    template <typename V>
+    typename V::reference
+    at(V &v, std::size_t s, std::uint32_t w)
+    {
+        return v[s * ways_ + w];
+    }
+
+    std::uint32_t ways_;
+    std::uint64_t clock_ = 0;
+    std::vector<std::uint64_t> stamp_;
+    std::vector<bool> occ_;
+    std::vector<int> cls_;
+};
+
+/** Rank of (@p s, @p w) among the occupied ways of its set. */
+std::uint32_t
+occupiedRank(const CacheArray<TestLine> &arr, std::size_t s,
+             std::uint32_t w)
+{
+    std::uint32_t r = 0;
+    for (std::uint32_t v = 0; v < arr.numWays(); ++v)
+        r += arr.occupiedAt(s, v) && arr.rankAt(s, v) < arr.rankAt(s, w);
+    return r;
+}
+
+// Ranks against 64-bit stamps under random occupy+touch, touch, release
+// and victim calls with classes and an excluded way. The associativities
+// cover one rank word (1, 2, 7, 8), a padded second word (9, 16) and
+// eight words (64). `live` is never restored, so its ranks must equal
+// the reference's for every way; `resumed` goes through save/restore
+// every few hundred calls, which reranks its free ways, so only its
+// occupied ways' order and its victims must agree.
+TEST(CacheArray, RanksMatchStampLruReference)
+{
+    const auto saveLine = [](SerialOut &o, std::size_t, std::uint32_t,
+                             const TestLine &l) {
+        o.u8(static_cast<std::uint8_t>(l.cls));
+    };
+    const auto loadLine = [](SerialIn &i, std::size_t, std::uint32_t,
+                             TestLine &l) { l.cls = i.u8(); };
+    const auto byClass = [](const TestLine &l) { return l.cls; };
+    const std::size_t sets = 3;
+
+    for (const std::uint32_t ways : {1u, 2u, 7u, 8u, 9u, 16u, 64u}) {
+        SCOPED_TRACE(ways);
+        std::mt19937_64 rng(ways);
+        const auto pick = [&](std::uint64_t n) { return rng() % n; };
+        StampLru ref(sets, ways);
+        CacheArray<TestLine> live(sets, ways), resumed(sets, ways);
+
+        for (int step = 0; step < 6000; ++step) {
+            const std::size_t s = pick(sets);
+            const auto w = static_cast<std::uint32_t>(pick(ways));
+            switch (pick(4)) {
+              case 0: { // fill: occupy the way a caller would, then touch
+                const auto v = static_cast<std::uint32_t>(
+                    pick(2) ? live.victim(s, byClass) : w);
+                const int cls = static_cast<int>(pick(3));
+                ref.occupy(s, v, cls);
+                ref.touch(s, v);
+                for (CacheArray<TestLine> *a : {&live, &resumed}) {
+                    a->occupy(s, v, step);
+                    a->line(s, v).cls = cls;
+                    a->touch(s, v);
+                }
+                break;
+              }
+              case 1:
+                ref.touch(s, w);
+                live.touch(s, w);
+                resumed.touch(s, w);
+                break;
+              case 2:
+                ref.release(s, w);
+                live.release(s, w);
+                resumed.release(s, w);
+                break;
+              default: {
+                const std::int32_t exclude =
+                    ways > 1 && pick(2) ? static_cast<std::int32_t>(w)
+                                        : -1;
+                const std::uint32_t want = ref.victim(s, exclude);
+                EXPECT_EQ(live.victim(s, byClass, exclude), want);
+                EXPECT_EQ(resumed.victim(s, byClass, exclude), want);
+                break;
+              }
+            }
+
+            std::uint64_t seen = 0;
+            for (std::uint32_t v = 0; v < ways; ++v) {
+                ASSERT_EQ(live.rankAt(s, v), ref.rank(s, v, false))
+                    << "step " << step << " way " << v;
+                seen |= 1ull << resumed.rankAt(s, v);
+                if (resumed.occupiedAt(s, v)) {
+                    ASSERT_EQ(occupiedRank(resumed, s, v),
+                              ref.rank(s, v, true))
+                        << "step " << step << " way " << v;
+                }
+            }
+            ASSERT_EQ(seen, ways == 64 ? ~0ull : (1ull << ways) - 1)
+                << "resumed ranks must stay a permutation";
+
+            if (step % 500 == 499) {
+                SerialOut out;
+                resumed.save(out, saveLine);
+                CacheArray<TestLine> copy(sets, ways);
+                SerialIn in(out.data());
+                copy.restore(in, loadLine);
+                ASSERT_TRUE(in.exhausted()) << in.error();
+                SerialOut again;
+                copy.save(again, saveLine);
+                ASSERT_EQ(again.data(), out.data());
+                resumed = copy;
+            }
+        }
+    }
 }
 
 TEST(CacheArray, CountAndForEach)

@@ -8,7 +8,7 @@
  * written by `fuzz_tool gen` / `fuzz_tool shrink` (see
  * docs/VERIFICATION.md for the workflow).
  *
- * The corpus also carries a golden zerodev-snapshot-v2 file
+ * The corpus also carries a golden zerodev-snapshot-v3 file
  * (golden-tiny-zdev.snap): a checked-in byte image that pins the
  * snapshot format itself — a format or serialization-order change that
  * silently invalidates old snapshots fails here first. Regenerate with
@@ -134,6 +134,29 @@ TEST(Corpus, GoldenSnapshotStillRestoresByteIdentically)
     EXPECT_EQ(stateBytes(live), *section)
         << "simulation no longer reproduces the golden state — if the "
            "behaviour change is intentional, regenerate the golden";
+}
+
+// golden-tiny-zdev-v2.snap is the golden image as version 2 wrote it,
+// with 64-bit LRU stamps and a clock word per cache array. Version 3
+// reads a different line layout, so the file must be turned away by the
+// container's version check before any system state is touched.
+TEST(Corpus, VersionTwoImageIsRejectedNotMisread)
+{
+    const std::string path = std::string(CORPUS_DIR) +
+                             "/golden-tiny-zdev-v2.snap";
+    Snapshot snap;
+    std::string err;
+    ASSERT_FALSE(snap.readFile(path, &err));
+    EXPECT_EQ(err, "unsupported snapshot version");
+
+    CmpSystem sys(testutil::tinyZeroDev());
+    warmToGoldenState(sys);
+    const std::vector<std::uint8_t> before = stateBytes(sys);
+    err.clear();
+    EXPECT_FALSE(sys.restoreSnapshot(path, &err));
+    EXPECT_NE(err.find("unsupported snapshot version"), std::string::npos)
+        << err;
+    EXPECT_EQ(stateBytes(sys), before);
 }
 
 } // namespace
