@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <string>
@@ -74,6 +75,40 @@ TEST(Corpus, EveryTraceReplaysCleanUnderTheFullCrossProduct)
             << "]: " << res.divergence.detail;
         EXPECT_EQ(res.accesses, trace.records().size());
     }
+}
+
+// The seedN-Ccore.trc files were written by `fuzz_tool gen N C 2000`;
+// regenerating them must give the same bytes, which pins fuzzStream's
+// draw sequence (and, through its application phases, the generator's).
+TEST(Corpus, TracesAreTheirFuzzStreams)
+{
+    std::size_t checked = 0;
+    for (const std::string &file : corpusFiles()) {
+        unsigned seed = 0, cores = 0;
+        const std::string name =
+            std::filesystem::path(file).filename().string();
+        if (std::sscanf(name.c_str(), "seed%u-%ucore.trc", &seed,
+                        &cores) != 2)
+            continue;
+        SCOPED_TRACE(name);
+        TraceReader trace(file);
+        ASSERT_TRUE(trace.ok()) << trace.error();
+        EXPECT_EQ(trace.cores(), cores);
+        const std::vector<TraceRecord> want = fuzzStream(seed, cores, 2000);
+        const std::vector<TraceRecord> &got = trace.records();
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t i = 0; i < want.size(); ++i) {
+            ASSERT_EQ(got[i].core, want[i].core) << "record " << i;
+            ASSERT_EQ(got[i].access.type, want[i].access.type)
+                << "record " << i;
+            ASSERT_EQ(got[i].access.block, want[i].access.block)
+                << "record " << i;
+            ASSERT_EQ(got[i].access.gap, want[i].access.gap)
+                << "record " << i;
+        }
+        ++checked;
+    }
+    EXPECT_EQ(checked, 3u);
 }
 
 std::string
