@@ -11,6 +11,8 @@
 #define ZERODEV_COMMON_RNG_HH
 
 #include <array>
+#include <bit>
+#include <cmath>
 #include <cstdint>
 
 namespace zerodev
@@ -55,37 +57,73 @@ class Rng
         return next() % bound;
     }
 
-    /** Uniform double in [0, 1). */
-    double
-    uniform()
-    {
-        return (next() >> 11) * (1.0 / 9007199254740992.0);
-    }
+    /** Number of distinct 53-bit draws. */
+    static constexpr std::uint64_t kDrawSpan = 1ull << 53;
 
-    /** Bernoulli draw with probability @p p of returning true. */
-    bool
-    chance(double p)
+    /** 53-bit draw m in [0, 2^53): the uniform double in [0, 1) it
+     *  stands for is exactly m * 2^-53. */
+    std::uint64_t
+    draw53()
     {
-        return uniform() < p;
+        return next() >> 11;
     }
 
     /**
-     * Approximate Zipf(s=@p skew) draw over [0, n): a cheap two-level
-     * scheme where a "hot" prefix of the range receives most draws.
-     * Used for reuse-skewed working sets; exact Zipf is not required.
+     * Integer form of probability @p p: for every 53-bit draw m,
+     * m < threshold(p) holds exactly when m * 2^-53 < p. That bound is
+     * ceil(p * 2^53), which is 0 for p <= 0 or NaN and 2^53 for p >= 1;
+     * threshold(p) > 0 exactly when p > 0. Derive it once, outside the
+     * draw loop.
+     */
+    static std::uint64_t
+    threshold(double p)
+    {
+        if (!(p > 0.0))
+            return 0;
+        if (p >= 1.0)
+            return kDrawSpan;
+        return static_cast<std::uint64_t>(std::ceil(std::ldexp(p, 53)));
+    }
+
+    /** Bernoulli draw that is true with the probability whose
+     *  threshold() is @p t. */
+    bool
+    chance(std::uint64_t t)
+    {
+        return draw53() < t;
+    }
+
+    /** A probability must become a threshold() first. */
+    bool chance(double) = delete;
+
+    /**
+     * Approximate Zipf draw over [0, n): a cheap two-level scheme where
+     * a "hot" prefix of the range receives most draws. Used for
+     * reuse-skewed working sets; exact Zipf is not required.
+     *
+     * The candidate range starts at n and halves, rounding up, while
+     * chance(@p skew) draws succeed, so draws concentrate geometrically
+     * toward small indices. After j halvings it is
+     * ceil(n / 2^j) = ((n - 1) >> j) + 1, and it reaches 1 after
+     * bit_width(n - 1) halvings, where the loop stops. One below() draw
+     * over the final range follows, also when that range is 1.
      */
     std::uint64_t
-    zipfish(std::uint64_t n, double skew)
+    zipfish(std::uint64_t n, std::uint64_t skew)
     {
         if (n <= 1)
             return 0;
-        // Repeatedly halve the candidate range with probability `skew`,
-        // yielding a geometric concentration toward small indices.
-        std::uint64_t lo = 0, hi = n;
-        while (hi - lo > 1 && chance(skew))
-            hi = lo + (hi - lo + 1) / 2;
-        return lo + below(hi - lo);
+        const int steps = std::bit_width(n - 1);
+        int j = 0;
+        while (j < steps && chance(skew))
+            ++j;
+        // For n > 2^63, steps is 64 and the shift would be undefined;
+        // the range after the last halving is 1 for every n.
+        return below(j == steps ? 1 : ((n - 1) >> j) + 1);
     }
+
+    /** zipfish() takes its skew as a threshold(). */
+    std::uint64_t zipfish(std::uint64_t, double) = delete;
 
     /** Raw engine state, exposed for snapshot serialization: restoring
      *  the four words resumes the stream exactly where it left off. */

@@ -726,15 +726,18 @@ fuzzStream(std::uint64_t seed, std::uint32_t cores,
     for (std::uint32_t c = 0; c < cores; ++c)
         gens.push_back(w.makeGenerator(c));
 
+    // 30% stores, 7% instruction fetches, the rest loads.
+    const std::uint64_t storeBound = Rng::threshold(0.3);
+    const std::uint64_t ifetchBound = Rng::threshold(0.37);
     auto randomAccess = [&](BlockAddr block) {
         TraceRecord rec;
         rec.core = static_cast<CoreId>(rng.below(cores));
         rec.access.block = block;
         rec.access.gap = static_cast<std::uint32_t>(rng.below(20));
-        const double r = rng.uniform();
-        rec.access.type = r < 0.3    ? AccessType::Store
-                          : r < 0.37 ? AccessType::Ifetch
-                                     : AccessType::Load;
+        const std::uint64_t m = rng.draw53();
+        rec.access.type = m < storeBound    ? AccessType::Store
+                          : m < ifetchBound ? AccessType::Ifetch
+                                            : AccessType::Load;
         return rec;
     };
 

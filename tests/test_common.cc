@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "common/bitops.hh"
@@ -14,6 +17,7 @@
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
+#include "workload/app_profiles.hh"
 
 namespace zerodev
 {
@@ -62,10 +66,12 @@ TEST(Bitops, SetBitWalkMatchesPerBitTest)
 {
     // Sharer vectors span two 64-bit words at 128 cores.
     Rng rng(7);
+    const std::uint64_t sparse = Rng::threshold(0.02);
+    const std::uint64_t dense = Rng::threshold(0.3);
     for (int trial = 0; trial < 200; ++trial) {
         SharerSet s;
         for (CoreId c = 0; c < kMaxCores; ++c) {
-            if (rng.chance(trial % 2 ? 0.02 : 0.3))
+            if (rng.chance(trial % 2 ? sparse : dense))
                 s.set(c);
         }
         std::vector<CoreId> want, got;
@@ -101,9 +107,7 @@ TEST(Rng, UniformRange)
 {
     Rng r(7);
     for (int i = 0; i < 1000; ++i) {
-        const double u = r.uniform();
-        EXPECT_GE(u, 0.0);
-        EXPECT_LT(u, 1.0);
+        EXPECT_LT(r.draw53(), Rng::kDrawSpan);
         EXPECT_LT(r.below(17), 17u);
     }
 }
@@ -111,14 +115,124 @@ TEST(Rng, UniformRange)
 TEST(Rng, ZipfishSkewsTowardSmallIndices)
 {
     Rng r(11);
+    const std::uint64_t skew = Rng::threshold(0.6);
     std::uint64_t low = 0, total = 20000;
     for (std::uint64_t i = 0; i < total; ++i) {
-        if (r.zipfish(1024, 0.6) < 128)
+        if (r.zipfish(1024, skew) < 128)
             ++low;
     }
     // With skew, the first 1/8 of the range receives far more than 1/8
     // of the draws.
     EXPECT_GT(low, total / 4);
+}
+
+/** The double compare a threshold stands for: the uniform double of
+ *  53-bit draw @p m, below @p p. */
+bool
+uniformBelow(std::uint64_t m, double p)
+{
+    return static_cast<double>(m) * (1.0 / 9007199254740992.0) < p;
+}
+
+/** Every probability the generator turns into a threshold, and the
+ *  running sums its region choice compares against. */
+std::vector<double>
+profileProbabilities()
+{
+    std::vector<double> ps;
+    for (const std::string &suite : suiteNames()) {
+        for (const AppProfile &p : suiteProfiles(suite)) {
+            ps.insert(ps.end(),
+                      {p.pIfetch, p.pSharedRo, p.pSharedRw, p.pStream,
+                       p.storeFrac, p.rwStoreFrac, p.hotFrac, p.zipfSkew,
+                       p.roZipfSkew, p.migratory});
+            double acc = p.pIfetch;
+            ps.push_back(acc += p.pSharedRo);
+            ps.push_back(acc += p.pSharedRw);
+            ps.push_back(acc += p.pStream);
+        }
+    }
+    return ps;
+}
+
+TEST(Rng, ThresholdMatchesDoubleCompare)
+{
+    std::vector<double> ps = {0.0,
+                              -0.1,
+                              std::nan(""),
+                              std::numeric_limits<double>::denorm_min(),
+                              std::ldexp(1.0, -60),
+                              0.3,
+                              0.37,
+                              0.998,
+                              1.0 - std::ldexp(1.0, -53),
+                              1.0,
+                              1.5};
+    const std::vector<double> profile = profileProbabilities();
+    ps.insert(ps.end(), profile.begin(), profile.end());
+
+    Rng rng(2024);
+    for (const double p : ps) {
+        SCOPED_TRACE(p);
+        const std::uint64_t t = Rng::threshold(p);
+        ASSERT_LE(t, Rng::kDrawSpan);
+        EXPECT_EQ(t > 0, p > 0.0);
+        // The boundary is where an off-by-one shows; a stream pin would
+        // meet it with probability 2^-53 per draw.
+        std::vector<std::uint64_t> ms = {0, Rng::kDrawSpan - 1, t, t + 1};
+        if (t > 0)
+            ms.push_back(t - 1);
+        for (int i = 0; i < 64; ++i)
+            ms.push_back(rng.draw53());
+        for (const std::uint64_t m : ms) {
+            if (m < Rng::kDrawSpan) {
+                EXPECT_EQ(m < t, uniformBelow(m, p)) << "m = " << m;
+            }
+        }
+    }
+}
+
+/** zipfish() as the halving loop it replaced: a moving [lo, hi) range
+ *  and a double compare per halving. (hi - lo + 1) / 2 is written
+ *  without its overflow at hi - lo = 2^64 - 1. */
+std::uint64_t
+zipfishByHalving(Rng &rng, std::uint64_t n, double skew)
+{
+    if (n <= 1)
+        return 0;
+    std::uint64_t lo = 0, hi = n;
+    while (hi - lo > 1 && uniformBelow(rng.next() >> 11, skew))
+        hi = lo + (hi - lo) / 2 + (hi - lo) % 2;
+    return lo + rng.below(hi - lo);
+}
+
+TEST(Rng, ZipfishMatchesHalvingLoop)
+{
+    std::vector<std::uint64_t> ns;
+    for (std::uint64_t n = 0; n <= 4096; ++n)
+        ns.push_back(n);
+    for (int k = 13; k < 64; ++k) {
+        const std::uint64_t p2 = 1ull << k;
+        ns.insert(ns.end(), {p2 - 1, p2, p2 + 1});
+    }
+    // Past 2^63 the last halving would shift by 64.
+    const std::uint64_t max = std::numeric_limits<std::uint64_t>::max();
+    ns.insert(ns.end(), {(1ull << 63) + 12345, max - 1, max});
+
+    for (const double skew :
+         {0.0, 0.3, 0.5, 0.9, 0.998, 1.0 - std::ldexp(1.0, -53), 1.0}) {
+        const std::uint64_t t = Rng::threshold(skew);
+        Rng a(static_cast<std::uint64_t>(skew * 1000) + 1);
+        Rng b = a;
+        for (const std::uint64_t n : ns) {
+            for (int rep = 0; rep < 3; ++rep) {
+                ASSERT_EQ(a.zipfish(n, t), zipfishByHalving(b, n, skew))
+                    << "n = " << n << ", skew = " << skew;
+                ASSERT_EQ(a.state(), b.state())
+                    << "n = " << n << ", skew = " << skew;
+            }
+        }
+    }
 }
 
 TEST(Stats, DumpMergeAndLookup)

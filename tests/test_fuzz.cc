@@ -71,19 +71,22 @@ TEST_P(ProtocolFuzz, RandomStormKeepsInvariants)
     CmpSystem sys(cfg);
     Rng rng(p.seed);
     const std::uint32_t cores = 2 * p.sockets;
+    const std::uint64_t hotT = Rng::threshold(0.7);
+    const std::uint64_t storeBound = Rng::threshold(0.25);
+    const std::uint64_t ifetchBound = Rng::threshold(0.32);
     Cycle t = 0;
 
     // A small address pool concentrates conflicts; a medium pool mixes
     // in capacity churn. Alternate between them.
     for (std::uint32_t i = 0; i < 12000; ++i) {
         const CoreId c = static_cast<CoreId>(rng.below(cores));
-        const bool hot = rng.chance(0.7);
+        const bool hot = rng.chance(hotT);
         const BlockAddr b = hot ? rng.below(96)            // conflict storm
                                 : 4096 + rng.below(4096);  // churn
-        const double r = rng.uniform();
-        const AccessType a = r < 0.25   ? AccessType::Store
-                             : r < 0.32 ? AccessType::Ifetch
-                                        : AccessType::Load;
+        const std::uint64_t m = rng.draw53();
+        const AccessType a = m < storeBound    ? AccessType::Store
+                             : m < ifetchBound ? AccessType::Ifetch
+                                               : AccessType::Load;
         t = sys.access(c, a, b, t + rng.below(20));
         if (i % 3000 == 2999)
             assertInvariants(sys);

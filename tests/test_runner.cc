@@ -123,6 +123,7 @@ TEST(IssueScheduler, MatchesLinearScan)
     for (const std::uint32_t cores : {1u, 3u, 8u, 9u, 17u, 128u}) {
         SCOPED_TRACE("cores=" + std::to_string(cores));
         Rng rng(cores);
+        const std::uint64_t moveT = Rng::threshold(0.2);
         std::vector<Cycle> ready(cores);
         std::vector<bool> active(cores, true);
         std::vector<std::uint64_t> quota(cores);
@@ -150,7 +151,7 @@ TEST(IssueScheduler, MatchesLinearScan)
 
             // A core other than the winner may move too.
             const auto other = static_cast<std::uint32_t>(rng.below(cores));
-            if (active[other] && rng.chance(0.2)) {
+            if (active[other] && rng.chance(moveT)) {
                 ready[other] += rng.below(3);
                 sched.set(other, ready[other]);
             }
