@@ -125,10 +125,6 @@ class DlsBackend final : public ProtocolBackend
     Cycle invalidateOthers(CmpSystem::Socket &s, CoreId c, BlockAddr block,
                            Cycle base);
 
-    /** The bank forwards to @p holder, which supplies @p c directly. */
-    void forwardTo(CmpSystem::Socket &s, CoreId holder, CoreId c,
-                   BlockAddr block, obs::LatencyChain &ch) const;
-
     std::uint64_t broadcastProbes_ = 0; //!< core scans on the miss path
     std::uint64_t snoopSupplies_ = 0;   //!< misses served core-to-core
 };

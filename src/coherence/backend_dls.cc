@@ -77,26 +77,14 @@ DlsBackend::invalidateOthers(CmpSystem::Socket &s, CoreId c,
 }
 
 void
-DlsBackend::forwardTo(CmpSystem::Socket &s, CoreId holder, CoreId c,
-                      BlockAddr block, obs::LatencyChain &ch) const
-{
-    ch.add(LatComp::Mesh, sys_.meshBankToCore(s, block, holder));
-    ch.add(LatComp::CoreLookup, s.cores[holder].l2Cycles());
-    ch.add(LatComp::Mesh, sys_.meshCoreToCore(s, holder, c));
-}
-
-void
 DlsBackend::miss(SocketId sid, CoreId c, AccessType type, BlockAddr block,
                  obs::LatencyChain &ch)
 {
     const Cycle now = ch.now();
     CmpSystem::Socket &s = *sys_.sockets_[sid];
-    PrivateCache &pc = s.cores[c];
-    ch.add(LatComp::CoreLookup, pc.l1Cycles() + pc.l2Cycles());
-    ch.add(LatComp::Mesh, sys_.meshCoreToBank(s, c, block));
-    CmpSystem::send(s, type == AccessType::Store ? MsgType::GetX
-                                                 : MsgType::GetS);
-    ch.add(LatComp::DirLookup, s.llc.tagCycles());
+    sys_.requestToBank(
+        s, c, block,
+        type == AccessType::Store ? MsgType::GetX : MsgType::GetS, ch);
 
     LlcProbe probe = s.llc.probe(block);
     LlcLine *data = probe.data && probe.data->kind == LlcLineKind::Data
@@ -107,12 +95,9 @@ DlsBackend::miss(SocketId sid, CoreId c, AccessType type, BlockAddr block,
         if (data) {
             // 2-hop: the serializing bank has the data; any private
             // copies are Shared (the writer removed this line).
-            s.llc.noteDataHit();
-            s.llc.noteDataRead();
-            s.llc.touchData(probe);
+            sys_.readLlcData(s, probe, ch);
             ++sys_.proto_.twoHopReads;
             CmpSystem::send(s, MsgType::DataResp);
-            ch.add(LatComp::LlcData, s.llc.dataCycles());
             ch.add(LatComp::Mesh, sys_.meshBankToCore(s, block, c));
             sys_.fillCore(s, c, type, block, MesiState::Shared, now);
             return;
@@ -130,7 +115,7 @@ DlsBackend::miss(SocketId sid, CoreId c, AccessType type, BlockAddr block,
             ++snoopSupplies_;
             CmpSystem::send(s, MsgType::FwdGetS);
             CmpSystem::send(s, MsgType::DataResp);
-            forwardTo(s, holder, c, block, ch);
+            sys_.forwardThrough(s, holder, c, block, ch);
             if (owned) {
                 const MesiState prev = s.cores[holder].downgrade(block);
                 sys_.llcWritebackData(s, block,
@@ -173,7 +158,7 @@ DlsBackend::miss(SocketId sid, CoreId c, AccessType type, BlockAddr block,
         CmpSystem::send(s, MsgType::FwdGetX);
         CmpSystem::send(s, MsgType::DataResp);
         // The holder's data rides with its acknowledgment.
-        forwardTo(s, holder, c, block, ch);
+        sys_.forwardThrough(s, holder, c, block, ch);
     } else {
         s.llc.noteDataMiss();
         ++sys_.proto_.socketMisses;
@@ -193,11 +178,7 @@ DlsBackend::upgrade(SocketId sid, CoreId c, BlockAddr block,
                     obs::LatencyChain &ch)
 {
     CmpSystem::Socket &s = *sys_.sockets_[sid];
-    PrivateCache &pc = s.cores[c];
-    ch.add(LatComp::CoreLookup, pc.l1Cycles() + pc.l2Cycles());
-    ch.add(LatComp::Mesh, sys_.meshCoreToBank(s, c, block));
-    ch.add(LatComp::DirLookup, s.llc.tagCycles());
-    CmpSystem::send(s, MsgType::Upgrade);
+    sys_.requestToBank(s, c, block, MsgType::Upgrade, ch);
 
     const Cycle inv_done = invalidateOthers(s, c, block, ch.now());
 
@@ -209,7 +190,7 @@ DlsBackend::upgrade(SocketId sid, CoreId c, BlockAddr block,
     CmpSystem::send(s, MsgType::AckResp);
     ch.add(LatComp::Mesh, sys_.meshBankToCore(s, block, c));
     ch.join(LatComp::InvStall, inv_done);
-    pc.upgradeToModified(block);
+    s.cores[c].upgradeToModified(block);
 }
 
 void

@@ -70,7 +70,7 @@ CmpSystem::handlePrivateEviction(Socket &s, CoreId c,
 
     if (!entry.live()) {
         const bool wrote_data = st == MesiState::Modified;
-        lastCopyInSocketGone(s, block, st, wrote_data, now);
+        lastCopyInSocketGone(s, block, wrote_data, now);
     }
 }
 
@@ -136,40 +136,39 @@ CmpSystem::evictionWithoutEntry(Socket &s, CoreId c, BlockAddr block,
     // The socket's last copy left. If the memory data was destroyed and
     // no other socket holds a copy, the block is retrieved from the
     // evicting core and written back (Section III-D4).
-    lastCopyInSocketGone(s, block, st, false, now);
+    lastCopyInSocketGone(s, block, false, now);
 }
 
 void
-CmpSystem::lastCopyInSocketGone(Socket &s, BlockAddr block, MesiState st,
+CmpSystem::lastCopyInSocketGone(Socket &s, BlockAddr block,
                                 bool data_written_back, Cycle now)
 {
-    (void)st;
-    Socket &h = home(block);
-
-    if (cfg_.sockets == 1) {
-        // If the LLC still holds a data copy, the socket hasn't lost the
-        // block (non-inclusive flavours).
-        LlcProbe probe = s.llc.probe(block);
-        if (probe.data)
-            return;
-        if (h.memStore.destroyed(block) && !data_written_back) {
-            // System-wide last copy of a destroyed block: the block is
-            // retrieved from the evicting core and overwrites the
-            // corrupted memory block (Section III-D4).
-            send(s, MsgType::DataResp);
-            h.dram.write(block, now, true);
-            send(h, MsgType::MemWrite);
-            h.memStore.clearBlock(block);
-            h.memStore.restoreData(block);
-            ++proto_.lastCopyRestores;
-        }
-        return;
-    }
-
+    // If the LLC still holds a data copy, the socket hasn't lost the
+    // block (non-inclusive flavours).
     LlcProbe probe = s.llc.probe(block);
     if (probe.data)
-        return; // the socket still holds the block in its LLC
-    socketEvictionNotice(s.id, block, !data_written_back, now);
+        return;
+    if (cfg_.sockets > 1) {
+        socketEvictionNotice(s.id, block, !data_written_back, now);
+        return;
+    }
+    if (home(block).memStore.destroyed(block) && !data_written_back) {
+        // System-wide last copy of a destroyed block: the block is
+        // retrieved from the evicting core.
+        send(s, MsgType::DataResp);
+        restoreLastCopy(block, now);
+    }
+}
+
+void
+CmpSystem::restoreLastCopy(BlockAddr block, Cycle now)
+{
+    Socket &h = home(block);
+    h.dram.write(block, now, true);
+    send(h, MsgType::MemWrite);
+    h.memStore.clearBlock(block);
+    h.memStore.restoreData(block);
+    ++proto_.lastCopyRestores;
 }
 
 void
@@ -210,13 +209,8 @@ CmpSystem::handleLlcVictim(Socket &s, const LlcVictim &victim, Cycle now)
             // A clean LLC copy can still be the system-wide last copy of
             // a destroyed memory block; write it back before it is lost.
             Tracking trk = peekTrackingCounted(s, block);
-            if (!trk.found() && !h.memStore.hasSegment(block, s.id)) {
-                h.dram.write(block, now, true);
-                send(h, MsgType::MemWrite);
-                h.memStore.clearBlock(block);
-                h.memStore.restoreData(block);
-                ++proto_.lastCopyRestores;
-            }
+            if (!trk.found() && !h.memStore.hasSegment(block, s.id))
+                restoreLastCopy(block, now);
         }
         return;
     }
@@ -229,19 +223,7 @@ CmpSystem::handleLlcVictim(Socket &s, const LlcVictim &victim, Cycle now)
         // Inclusive LLCs never write entries to memory: evicting the
         // line invalidates the tracked copies (inclusion property), so
         // the entry simply dies (Section III-F).
-        forEachSetBit(victim.de.sharers, [&](CoreId x) {
-            const MesiState prev = s.cores[x].invalidate(block, false);
-            if (prev != MesiState::Invalid) {
-                noteInclusionInvalidation();
-                send(s, MsgType::Inv);
-                send(s, MsgType::InvAck);
-                if (prev == MesiState::Modified) {
-                    h.dram.write(block, now, false);
-                    send(h, MsgType::MemWrite);
-                    h.memStore.restoreData(block);
-                }
-            }
-        });
+        backInvalidate(s, victim.de.sharers, block, now);
         if (cfg_.sockets > 1)
             socketEvictionNotice(s.id, block, false, now);
         return;
@@ -273,8 +255,17 @@ CmpSystem::inclusionInvalidate(Socket &s, BlockAddr block, Cycle now)
     Tracking trk = findTracking(s, block);
     if (!trk.found())
         return;
+    backInvalidate(s, trk.entry.sharers, block, now);
+    DirEntry dead;
+    writeTracking(s, block, trk.where, dead, now);
+}
+
+void
+CmpSystem::backInvalidate(Socket &s, const SharerSet &sharers,
+                          BlockAddr block, Cycle now)
+{
     bool dirty = false;
-    forEachSetBit(trk.entry.sharers, [&](CoreId x) {
+    forEachSetBit(sharers, [&](CoreId x) {
         const MesiState prev = s.cores[x].invalidate(block, false);
         if (prev != MesiState::Invalid) {
             noteInclusionInvalidation();
@@ -290,8 +281,6 @@ CmpSystem::inclusionInvalidate(Socket &s, BlockAddr block, Cycle now)
         send(h, MsgType::MemWrite);
         h.memStore.restoreData(block);
     }
-    DirEntry dead;
-    writeTracking(s, block, trk.where, dead, now);
 }
 
 } // namespace zerodev

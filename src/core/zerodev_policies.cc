@@ -169,50 +169,29 @@ void
 CmpSystem::cacheEntryInLlc(Socket &s, BlockAddr block,
                            const DirEntry &entry, Cycle now)
 {
+    if (cfg_.dirCachePolicy == DirCachePolicy::None)
+        panic("ZeroDEV without a directory-entry caching policy");
     LlcProbe p = s.llc.probe(block);
     const bool block_resident =
         p.data && p.data->kind == LlcLineKind::Data;
 
-    switch (cfg_.dirCachePolicy) {
-      case DirCachePolicy::None:
-        panic("ZeroDEV without a directory-entry caching policy");
-
-      case DirCachePolicy::SpillAll: {
-        const LlcVictim victim = s.llc.allocate(
-            block, LlcLineKind::SpilledDe, false, entry,
-            block_resident ? static_cast<std::int32_t>(p.dataWay) : -1);
-        ZDEV_TRACE(trc_, obs::TraceEventKind::Spill, obs::TraceComp::Llc,
+    // Fuse into the resident block: FuseAll every entry, FPSS the M/E
+    // ones (Sections III-C2/C3).
+    if (block_resident &&
+        (cfg_.dirCachePolicy == DirCachePolicy::FuseAll ||
+         (cfg_.dirCachePolicy == DirCachePolicy::Fpss &&
+          entry.state == DirState::Owned))) {
+        s.llc.fuse(*p.data, entry);
+        ZDEV_TRACE(trc_, obs::TraceEventKind::Fuse, obs::TraceComp::Llc,
                    s.id, 0, block, now, 0, 0, txn_);
-        handleLlcVictim(s, victim, now);
         return;
-      }
-
-      case DirCachePolicy::Fpss:
-        if (block_resident && entry.state == DirState::Owned) {
-            s.llc.fuse(*p.data, entry);
-            ZDEV_TRACE(trc_, obs::TraceEventKind::Fuse,
-                       obs::TraceComp::Llc, s.id, 0, block, now, 0, 0,
-                       txn_);
-            return;
-        }
-        break;
-
-      case DirCachePolicy::FuseAll:
-        if (block_resident) {
-            s.llc.fuse(*p.data, entry);
-            ZDEV_TRACE(trc_, obs::TraceEventKind::Fuse,
-                       obs::TraceComp::Llc, s.id, 0, block, now, 0, 0,
-                       txn_);
-            return;
-        }
-        break;
     }
 
-    // Spill: for FPSS this is the S-state (or block-absent, e.g. EPD)
-    // case; for FuseAll the block-absent case. A co-resident data line
-    // is excluded from victim selection (as in the SpillAll path above):
-    // victimising the very block being tracked would, under an inclusive
-    // LLC, invalidate the copies this entry is about to record.
+    // Spill: SpillAll always, FPSS in the S state (or block-absent, e.g.
+    // EPD), FuseAll when the block is absent. A co-resident data line is
+    // excluded from victim selection: victimising the very block being
+    // tracked would, under an inclusive LLC, invalidate the copies this
+    // entry is about to record.
     const LlcVictim victim = s.llc.allocate(
         block, LlcLineKind::SpilledDe, false, entry,
         block_resident ? static_cast<std::int32_t>(p.dataWay) : -1);
@@ -277,7 +256,6 @@ CmpSystem::extractEntryFromMemory(Socket &s, BlockAddr block, Cycle now)
     ZDEV_TRACE(trc_, obs::TraceEventKind::DeExtract,
                obs::TraceComp::Memory, h.id, 0, block, now, 0,
                static_cast<std::uint32_t>(entry->count()), txn_);
-    (void)now;
     return entry;
 }
 
