@@ -6,6 +6,7 @@
 
 #include "common/bitops.hh"
 #include "common/log.hh"
+#include "directory/dir_formats.hh"
 
 namespace zerodev
 {
@@ -167,6 +168,15 @@ SystemConfig::check() const
     if (dirOrg == DirOrg::ZeroDev &&
         dirCachePolicy == DirCachePolicy::None) {
         return "ZeroDEV requires a directory-entry caching policy";
+    }
+    if (dirOrg == DirOrg::ZeroDev && sockets > 1 &&
+        sockets > maxSocketsPerBlockWithSocketEntry(coresPerSocket)) {
+        // Section III-D: every socket's evicted entry and the socket
+        // entry must fit in one 512-bit memory block.
+        return reason("a memory block houses the ZeroDEV entries of at "
+                      "most %u sockets of %u cores, not %u",
+                      maxSocketsPerBlockWithSocketEntry(coresPerSocket),
+                      coresPerSocket, sockets);
     }
     if (dirOrg != DirOrg::ZeroDev && directory.sizeRatio <= 0.0 &&
         dirOrg != DirOrg::Unbounded) {

@@ -50,6 +50,20 @@ TEST(Errors, TooManyCoresIsFatal)
     EXPECT_EXIT(cfg.validate(), ExitedWithCode(1), "sharer vector");
 }
 
+TEST(Errors, ZeroDevBeyondTheEntryBitBudgetIsFatal)
+{
+    // A 512-bit block holds the socket entry and three 128-core
+    // segments (Section III-D), so the fourth socket does not fit.
+    SystemConfig cfg = makeEightCoreConfig();
+    applyZeroDev(cfg, 0.0);
+    cfg.coresPerSocket = 128;
+    cfg.sockets = 3;
+    EXPECT_EQ(cfg.check(), "");
+    cfg.sockets = 4;
+    EXPECT_EXIT(cfg.validate(), ExitedWithCode(1),
+                "at most 3 sockets of 128 cores, not 4");
+}
+
 TEST(Errors, UnknownSuiteIsFatal)
 {
     EXPECT_EXIT(suiteProfiles("spec2042"), ExitedWithCode(1),
