@@ -21,9 +21,8 @@ metricShardIndex()
 namespace
 {
 
-/** fetch_add for a double stored as bits (CAS loop). Unused in
- *  ZERODEV_METRICS=OFF builds, where observe() compiles to nothing. */
-[[maybe_unused]] void
+/** fetch_add for a double stored as bits (CAS loop). */
+void
 atomicAddDouble(std::atomic<std::uint64_t> &bits, double delta)
 {
     std::uint64_t old = bits.load(std::memory_order_relaxed);
@@ -134,7 +133,6 @@ HistogramMetric::HistogramMetric(std::string name, std::string labels,
 void
 HistogramMetric::observe(double v)
 {
-#if ZERODEV_METRICS
     if (!live())
         return;
     std::size_t b = 0;
@@ -143,9 +141,6 @@ HistogramMetric::observe(double v)
     Shard &s = shards_[metricShardIndex()];
     s.buckets[b].fetch_add(1, std::memory_order_relaxed);
     atomicAddDouble(s.sumBits, v);
-#else
-    (void)v;
-#endif
 }
 
 HistogramMetric::Snapshot

@@ -15,11 +15,9 @@
  * series without coordination. Handles stay valid for the registry's
  * lifetime (series storage never moves).
  *
- * The registry is runtime-switchable (setEnabled) and, like the
- * coherence trace hooks, compiles to nothing when the ZERODEV_METRICS
- * CMake option is OFF: every mutation method becomes an empty inline and
- * the ZDEV_METRIC_* macros expand to no-ops, so the 10x sim-rate push
- * is never taxed by instrumentation it does not want.
+ * The registry is runtime-switchable (setEnabled); like the coherence
+ * trace hooks, the ZDEV_METRIC_* macros cost a null test at an
+ * instrumentation point without a registered series.
  */
 
 #ifndef ZERODEV_OBS_METRICS_HH
@@ -31,10 +29,6 @@
 #include <mutex>
 #include <string>
 #include <vector>
-
-#ifndef ZERODEV_METRICS
-#define ZERODEV_METRICS 1
-#endif
 
 namespace zerodev::obs
 {
@@ -100,14 +94,10 @@ class Counter : public Metric
     void
     add(std::uint64_t delta)
     {
-#if ZERODEV_METRICS
         if (live()) {
             shards_[metricShardIndex()].value.fetch_add(
                 delta, std::memory_order_relaxed);
         }
-#else
-        (void)delta;
-#endif
     }
 
     void inc() { add(1); }
@@ -141,16 +131,12 @@ class Gauge : public Metric
     void
     set(double v)
     {
-#if ZERODEV_METRICS
         if (live()) {
             std::uint64_t bits;
             static_assert(sizeof bits == sizeof v);
             __builtin_memcpy(&bits, &v, sizeof bits);
             bits_.store(bits, std::memory_order_relaxed);
         }
-#else
-        (void)v;
-#endif
     }
 
     double
@@ -283,10 +269,8 @@ class MetricsRegistry
 bool checkPrometheusText(const std::string &text,
                          std::string *err = nullptr);
 
-// Hot-path instrumentation macros: compiled out entirely when the
-// ZERODEV_METRICS CMake option is OFF. @p m is a Counter*/Gauge* that
-// may be null (instrumentation point without a registered series).
-#if ZERODEV_METRICS
+// Hot-path instrumentation macros. @p m is a Counter*/Gauge* that may
+// be null (instrumentation point without a registered series).
 #define ZDEV_METRIC_ADD(m, delta)                                       \
     do {                                                                \
         if (m)                                                          \
@@ -297,10 +281,6 @@ bool checkPrometheusText(const std::string &text,
         if (m)                                                          \
             (m)->set(v);                                                \
     } while (0)
-#else
-#define ZDEV_METRIC_ADD(m, delta) ((void)0)
-#define ZDEV_METRIC_SET(m, v) ((void)0)
-#endif
 
 } // namespace zerodev::obs
 

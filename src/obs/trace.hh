@@ -15,11 +15,9 @@
  *  - compact JSONL, one event object per line (grep/jq-friendly, parsed
  *    back by obs::parseJson and the trace_tool inspector).
  *
- * Cost model: hooks sit behind the ZDEV_TRACE macro. When the library is
- * built with ZERODEV_TRACE=0 they vanish entirely; in the default build
- * they compile to a never-taken null-pointer test until a Tracer is
- * attached to the system (runtime enable), plus per-component filtering
- * inside record().
+ * Cost model: hooks sit behind the ZDEV_TRACE macro, a never-taken
+ * null-pointer test until a Tracer is attached to the system (runtime
+ * enable), plus per-component filtering inside record().
  */
 
 #ifndef ZERODEV_OBS_TRACE_HH
@@ -177,19 +175,11 @@ class Tracer
 
 } // namespace zerodev::obs
 
-// Hot-path hook: compiled out entirely when the library is built with
-// ZERODEV_TRACE=0; otherwise a null test on the attached tracer.
-#ifndef ZERODEV_TRACE
-#define ZERODEV_TRACE 0
-#endif
-#if ZERODEV_TRACE
+// Hot-path hook: a null test on the attached tracer.
 #define ZDEV_TRACE(trc, ...)                                                \
     do {                                                                    \
         if (trc)                                                            \
             (trc)->record(__VA_ARGS__);                                     \
     } while (0)
-#else
-#define ZDEV_TRACE(trc, ...) ((void)0)
-#endif
 
 #endif // ZERODEV_OBS_TRACE_HH

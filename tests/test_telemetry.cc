@@ -82,11 +82,7 @@ TEST(Metrics, CounterAggregatesAcrossThreads)
     }
     for (std::thread &t : ts)
         t.join();
-#if ZERODEV_METRICS
     EXPECT_EQ(c->value(), kThreads * kPerThread);
-#else
-    EXPECT_EQ(c->value(), 0u); // compiled out: inc() is a no-op
-#endif
 }
 
 TEST(Metrics, DisabledRegistryDropsMutations)
@@ -97,15 +93,11 @@ TEST(Metrics, DisabledRegistryDropsMutations)
     reg.setEnabled(false);
     c->add(7);
     g->set(3.5);
-#if ZERODEV_METRICS
     EXPECT_EQ(c->value(), 0u);
     EXPECT_EQ(g->value(), 0.0);
-#endif
     reg.setEnabled(true);
     c->add(7);
-#if ZERODEV_METRICS
     EXPECT_EQ(c->value(), 7u);
-#endif
 }
 
 TEST(Metrics, HistogramBucketsAndSum)
@@ -117,7 +109,6 @@ TEST(Metrics, HistogramBucketsAndSum)
     h->observe(0.5);
     h->observe(5.0);
     h->observe(50.0);
-#if ZERODEV_METRICS
     const obs::HistogramMetric::Snapshot s = h->snapshot();
     ASSERT_EQ(s.counts.size(), 4u); // 3 bounds + overflow
     EXPECT_EQ(s.counts[0], 1u);
@@ -126,7 +117,6 @@ TEST(Metrics, HistogramBucketsAndSum)
     EXPECT_EQ(s.counts[3], 1u);
     EXPECT_EQ(s.count, 4u);
     EXPECT_DOUBLE_EQ(s.sum, 55.55);
-#endif
 }
 
 TEST(Metrics, PrometheusTextPassesChecker)
@@ -139,11 +129,9 @@ TEST(Metrics, PrometheusTextPassesChecker)
     const std::string text = reg.prometheusText();
     std::string err;
     EXPECT_TRUE(obs::checkPrometheusText(text, &err)) << err << text;
-#if ZERODEV_METRICS
     // Bucket bounds keep their shortest spelling.
     EXPECT_NE(text.find("le=\"0.1\""), std::string::npos) << text;
     EXPECT_NE(text.find("zdev_b{job=\"x\"}"), std::string::npos);
-#endif
 }
 
 TEST(Metrics, CheckerRejectsBadExpositions)
