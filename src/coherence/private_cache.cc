@@ -1,19 +1,19 @@
 #include "coherence/private_cache.hh"
 
+#include <bit>
+
 #include "common/log.hh"
 
 namespace zerodev
 {
 
-PrivateCache::PrivateCache(const SystemConfig &cfg, CoreId core)
-    : core_(core),
-      l1Cycles_(cfg.l1d.lookupCycles),
+PrivateCache::PrivateCache(const SystemConfig &cfg)
+    : l1Cycles_(cfg.l1d.lookupCycles),
       l2Cycles_(cfg.l2.lookupCycles),
       l1i_(cfg.l1i.sets(cfg.blockBytes), cfg.l1i.ways),
       l1d_(cfg.l1d.sets(cfg.blockBytes), cfg.l1d.ways),
       l2_(cfg.l2.sets(cfg.blockBytes), cfg.l2.ways)
 {
-    (void)core_;
 }
 
 CoreLookup
@@ -25,14 +25,23 @@ PrivateCache::access(AccessType type, BlockAddr block)
       case AccessType::Ifetch: ++stats_.ifetches; break;
     }
 
+    // The L1 first: a hit finds its L2 line through the way byte.
+    auto &l1 = l1For(type);
+    const std::size_t l1set = l1.setOfAddr(block);
+    const WayRef l1ref = l1.find(l1set, l1.tagOfAddr(block));
     const std::size_t l2set = l2_.setOfAddr(block);
-    const std::uint64_t l2tag = l2_.tagOfAddr(block);
-    const WayRef l2ref = l2_.find(l2set, l2tag);
-    if (!l2ref.found) {
-        ++stats_.misses;
-        return CoreLookup::Miss;
+    std::uint32_t l2way;
+    if (l1ref.found) {
+        l2way = l1.line(l1set, l1ref.way).l2Way;
+    } else {
+        const WayRef l2ref = l2_.find(l2set, l2_.tagOfAddr(block));
+        if (!l2ref.found) {
+            ++stats_.misses;
+            return CoreLookup::Miss;
+        }
+        l2way = l2ref.way;
     }
-    L2Line &l2line = l2_.line(l2set, l2ref.way);
+    L2Line &l2line = l2_.line(l2set, l2way);
 
     if (type == AccessType::Store) {
         if (l2line.state == MesiState::Shared) {
@@ -43,29 +52,26 @@ PrivateCache::access(AccessType type, BlockAddr block)
         l2line.state = MesiState::Modified;
     }
 
-    l2_.touch(l2set, l2ref.way);
+    l2_.touch(l2set, l2way);
 
-    auto &l1 = l1For(type);
-    const std::size_t l1set = l1.setOfAddr(block);
-    const std::uint64_t l1tag = l1.tagOfAddr(block);
-    const WayRef l1ref = l1.find(l1set, l1tag);
     if (l1ref.found) {
         l1.touch(l1set, l1ref.way);
         ++stats_.l1Hits;
         return CoreLookup::L1Hit;
     }
-    fillL1(type, block);
+    fillL1(type, block, l2way);
     ++stats_.l2Hits;
     return CoreLookup::L2Hit;
 }
 
 void
-PrivateCache::fillL1(AccessType type, BlockAddr block)
+PrivateCache::fillL1(AccessType type, BlockAddr block, std::uint32_t l2Way)
 {
     auto &l1 = l1For(type);
     const std::size_t set = l1.setOfAddr(block);
     const std::uint32_t way = l1.victimLru(set);
     l1.occupy(set, way, l1.tagOfAddr(block));
+    l1.line(set, way).l2Way = static_cast<std::uint8_t>(l2Way);
     l1.touch(set, way);
     // L1 evictions are silent: the L2 is inclusive and already tracks
     // the block in the right state.
@@ -97,7 +103,7 @@ PrivateCache::fill(AccessType type, BlockAddr block, MesiState state)
     L2Line &line = l2_.line(set, ref.way);
     line.state = state;
     l2_.touch(set, ref.way);
-    fillL1(type, block);
+    fillL1(type, block, ref.way);
     return ev;
 }
 
@@ -163,6 +169,15 @@ PrivateCache::dropFromL1s(BlockAddr block)
     }
 }
 
+std::optional<std::uint32_t>
+PrivateCache::l2Way(BlockAddr block) const
+{
+    const WayRef ref = l2_.find(l2_.setOfAddr(block), l2_.tagOfAddr(block));
+    if (!ref.found)
+        return std::nullopt;
+    return ref.way;
+}
+
 std::uint64_t
 PrivateCache::validBlocks() const
 {
@@ -174,7 +189,7 @@ PrivateCache::save(SerialOut &out) const
 {
     const auto l1Line = [](SerialOut &, std::size_t, std::uint32_t,
                            const L1Line &) {
-        // Occupancy is the only L1 payload; it is implied by presence.
+        // The way byte is derived state: restore() rebuilds it.
     };
     l1i_.save(out, l1Line);
     l1d_.save(out, l1Line);
@@ -211,6 +226,18 @@ PrivateCache::restore(SerialIn &in)
                     l.state <= MesiState::Modified,
                 "bad L2 MESI state");
     });
+    // Inclusion: every L1 line's block is in the L2, at most once per
+    // L1. An L1 line outside the L2 would hit on a block nothing tracks.
+    for (CacheArray<L1Line> *l1 : {&l1i_, &l1d_}) {
+        l1->forEach([&](std::size_t s, std::uint32_t w, const L1Line &) {
+            const std::optional<std::uint32_t> way = l2Way(l1->addrAt(s, w));
+            if (in.check(way.has_value(), "L1 line outside the L2") &&
+                in.check(std::popcount(l1->matchMask(s, l1->tagAt(s, w))) ==
+                             1,
+                         "block held twice in one L1"))
+                l1->line(s, w).l2Way = static_cast<std::uint8_t>(*way);
+        });
+    }
     stats_.loads = in.u64();
     stats_.stores = in.u64();
     stats_.ifetches = in.u64();

@@ -5,11 +5,21 @@
  * tracked at the L2: the directory sees one sharer per core, and an L2
  * eviction (which back-invalidates the L1s) emits the eviction notice the
  * baseline protocol relies on to keep the directory precise [24].
+ *
+ * An access searches the L1 first. Because the L2 is inclusive, every L1
+ * line's block is in the L2, and the line's one payload byte holds the
+ * L2 way of that block: an L1 hit reads its MESI state and updates its
+ * L2 recency at (L2 set, way) without searching the L2 tags. Only an L1
+ * miss searches the L2. The way byte is set wherever an L1 line is
+ * filled; a block cannot change L2 way while an L1 holds it, since
+ * leaving the L2 drops it from both L1s. The byte is not serialized:
+ * restore() rebuilds it with an L2 search.
  */
 
 #ifndef ZERODEV_COHERENCE_PRIVATE_CACHE_HH
 #define ZERODEV_COHERENCE_PRIVATE_CACHE_HH
 
+#include <bit>
 #include <cstdint>
 #include <optional>
 
@@ -65,7 +75,7 @@ class PrivateCache
     };
     static_assert(sizeof(L2Line) == 1, "an L2 payload is its MESI state");
 
-    PrivateCache(const SystemConfig &cfg, CoreId core);
+    explicit PrivateCache(const SystemConfig &cfg);
 
     /**
      * Look up @p block for an access of @p type, updating L1/L2 recency
@@ -99,7 +109,8 @@ class PrivateCache
     /** Grant M permission after an upgrade response. */
     void upgradeToModified(BlockAddr block);
 
-    /** Total L2 lookup latency for a fill path (L1 + L2). */
+    /** Lookup latency of one L1 (an L1 hit) and of the L2 (added to
+     *  it for an L2 hit). */
     std::uint32_t l1Cycles() const { return l1Cycles_; }
     std::uint32_t l2Cycles() const { return l2Cycles_; }
 
@@ -109,9 +120,14 @@ class PrivateCache
     /** Number of valid L2 blocks (invariant checks). */
     std::uint64_t validBlocks() const;
 
-    /** Snapshot the full hierarchy state (L1I/L1D/L2 + counters). */
+    /** Snapshot the full hierarchy state (L1I/L1D/L2 + counters).
+     *  restore() rejects an L1 line whose block the L2 does not hold
+     *  and a block held twice in one L1. */
     void save(SerialOut &out) const;
     void restore(SerialIn &in);
+
+    /** L2 way of @p block, if the L2 holds it. */
+    std::optional<std::uint32_t> l2Way(BlockAddr block) const;
 
     /** Visit every valid L2 block: fn(block, state). */
     template <typename Fn>
@@ -123,12 +139,31 @@ class PrivateCache
         });
     }
 
+    /** Visit every valid line of both L1s: fn(block, l2Way, copies),
+     *  where l2Way is the line's way byte and copies the number of
+     *  lines of that L1 holding the block (invariant checks). */
+    template <typename Fn>
+    void
+    forEachL1Line(Fn &&fn) const
+    {
+        for (const CacheArray<L1Line> *l1 : {&l1i_, &l1d_}) {
+            l1->forEach([&](std::size_t s, std::uint32_t w, const L1Line &l) {
+                fn(l1->addrAt(s, w), std::uint32_t{l.l2Way},
+                   static_cast<std::uint32_t>(
+                       std::popcount(l1->matchMask(s, l1->tagAt(s, w)))));
+            });
+        }
+    }
+
   private:
-    /** L1 lines carry no payload beyond the array's own tag/LRU state. */
+    /** An L1 line's payload: the way of its block in the L2. */
     struct L1Line
     {
-        void reset() {}
+        std::uint8_t l2Way = 0;
+
+        void reset() { l2Way = 0; }
     };
+    static_assert(sizeof(L1Line) == 1, "an L1 payload is its L2 way");
 
     CacheArray<L1Line> &l1For(AccessType type)
     {
@@ -138,10 +173,10 @@ class PrivateCache
     /** Remove @p block from both L1s (inclusion on L2 eviction). */
     void dropFromL1s(BlockAddr block);
 
-    /** Fill @p block into the L1 used by @p type. */
-    void fillL1(AccessType type, BlockAddr block);
+    /** Fill @p block, held in L2 way @p l2Way, into the L1 used by
+     *  @p type. */
+    void fillL1(AccessType type, BlockAddr block, std::uint32_t l2Way);
 
-    CoreId core_;
     std::uint32_t l1Cycles_;
     std::uint32_t l2Cycles_;
     CacheArray<L1Line> l1i_;

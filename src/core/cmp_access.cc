@@ -30,8 +30,14 @@ CmpSystem::handleMiss(Socket &s, CoreId c, AccessType type,
                   ch);
     const Cycle base = ch.now();
 
-    Tracking trk = findTracking(s, block);
-    LlcProbe probe = s.llc.probe(block);
+    // The tracking search's LLC probe, when it made one, is the probe
+    // this miss needs: nothing runs in between. It counts as a lookup
+    // all the same.
+    std::optional<LlcProbe> seen;
+    Tracking trk = findTracking(s, block, &seen);
+    if (seen)
+        s.llc.noteLookup();
+    LlcProbe probe = seen ? *seen : s.llc.probe(block);
     ZDEV_TRACE(trc_, obs::TraceEventKind::DirLookup,
                obs::TraceComp::Directory, s.id, c, block, base, 0,
                static_cast<std::uint32_t>(trk.where), txn_);

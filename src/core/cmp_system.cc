@@ -21,8 +21,8 @@ CmpSystem::Socket::Socket(const SystemConfig &cfg, SocketId sid)
       traffic(cfg.coresPerSocket)
 {
     cores.reserve(cfg.coresPerSocket);
-    for (CoreId c = 0; c < cfg.coresPerSocket; ++c)
-        cores.emplace_back(cfg, c);
+    while (cores.size() < cfg.coresPerSocket)
+        cores.emplace_back(cfg);
 }
 
 CmpSystem::~CmpSystem() = default;

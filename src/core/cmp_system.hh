@@ -22,6 +22,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -417,8 +418,12 @@ class CmpSystem
 
     // ----- ZeroDEV tracking management (zerodev_policies.cc) -----
 
-    /** Find the in-socket tracking of @p block (touches recency). */
-    Tracking findTracking(Socket &s, BlockAddr block);
+    /** Find the in-socket tracking of @p block (touches recency). When
+     *  the search reaches the LLC tags and @p llcProbe is given, the
+     *  probe it made is left there for a caller that needs the block's
+     *  LLC lines next (recency updates do not move them). */
+    Tracking findTracking(Socket &s, BlockAddr block,
+                          std::optional<LlcProbe> *llcProbe = nullptr);
 
     /** peekTracking() as a protocol step: falling through to the LLC
      *  counts a tag lookup, like every other probe the flows make. */

@@ -1,6 +1,7 @@
 #include "core/invariants.hh"
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
 
 #include "common/log.hh"
@@ -119,6 +120,30 @@ checkInvariants(const CmpSystem &sys)
             }
         }
         cached.resize(merged);
+
+        // 0. L1 inclusion: every L1 line's block is in the same core's
+        // L2, the line's way byte names that block's L2 way (an L1 hit
+        // reads the L2 line there without a search), and no L1 holds a
+        // block twice.
+        for (CoreId c = 0; c < cfg.coresPerSocket; ++c) {
+            const PrivateCache &pc = sys.privateCache(s, c);
+            const auto l1Violation = [&](BlockAddr b, const std::string &d) {
+                violate("l1-inclusion", "socket " + std::to_string(s) +
+                                            " core " + std::to_string(c) +
+                                            " L1 block " + hex(b) + d);
+            };
+            pc.forEachL1Line([&](BlockAddr b, std::uint32_t way,
+                                 std::uint32_t copies) {
+                const std::optional<std::uint32_t> l2 = pc.l2Way(b);
+                if (!l2)
+                    l1Violation(b, " is not in its L2");
+                else if (*l2 != way)
+                    l1Violation(b, " names L2 way " + std::to_string(way) +
+                                       ", not " + std::to_string(*l2));
+                if (copies > 1)
+                    l1Violation(b, " is held twice in one L1");
+            });
+        }
 
         // 1-DLS. The directoryless backend has no tracking state to
         // audit; its own protocol rules replace the directory checks:

@@ -20,7 +20,8 @@ namespace zerodev
 {
 
 Tracking
-CmpSystem::findTracking(Socket &s, BlockAddr block)
+CmpSystem::findTracking(Socket &s, BlockAddr block,
+                        std::optional<LlcProbe> *llcProbe)
 {
     Tracking trk;
     if (s.dirOrg) {
@@ -44,6 +45,8 @@ CmpSystem::findTracking(Socket &s, BlockAddr block)
         trk.entry = s.llc.entry(*p.data);
         s.llc.touchData(p);
     }
+    if (llcProbe)
+        *llcProbe = p;
     return trk;
 }
 

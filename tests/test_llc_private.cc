@@ -13,6 +13,7 @@
 
 #include "coherence/llc_bank.hh"
 #include "coherence/private_cache.hh"
+#include "common/serialize.hh"
 #include "test_util.hh"
 
 namespace zerodev
@@ -30,7 +31,7 @@ static_assert(sizeof(PrivateCache::L2Line) == 1);
 
 TEST(PrivateCache, MissThenFillThenHit)
 {
-    PrivateCache pc(tinyConfig(), 0);
+    PrivateCache pc(tinyConfig());
     EXPECT_EQ(pc.access(AccessType::Load, 100), CoreLookup::Miss);
     pc.fill(AccessType::Load, 100, MesiState::Exclusive);
     EXPECT_EQ(pc.state(100), MesiState::Exclusive);
@@ -39,7 +40,7 @@ TEST(PrivateCache, MissThenFillThenHit)
 
 TEST(PrivateCache, SilentExclusiveToModifiedUpgrade)
 {
-    PrivateCache pc(tinyConfig(), 0);
+    PrivateCache pc(tinyConfig());
     pc.fill(AccessType::Load, 100, MesiState::Exclusive);
     EXPECT_EQ(pc.access(AccessType::Store, 100), CoreLookup::L1Hit);
     EXPECT_EQ(pc.state(100), MesiState::Modified);
@@ -47,7 +48,7 @@ TEST(PrivateCache, SilentExclusiveToModifiedUpgrade)
 
 TEST(PrivateCache, StoreToSharedNeedsUpgrade)
 {
-    PrivateCache pc(tinyConfig(), 0);
+    PrivateCache pc(tinyConfig());
     pc.fill(AccessType::Load, 100, MesiState::Shared);
     EXPECT_EQ(pc.access(AccessType::Store, 100), CoreLookup::NeedUpgrade);
     EXPECT_EQ(pc.state(100), MesiState::Shared); // unchanged until grant
@@ -58,7 +59,7 @@ TEST(PrivateCache, StoreToSharedNeedsUpgrade)
 TEST(PrivateCache, L2HitAfterL1Eviction)
 {
     SystemConfig cfg = tinyConfig();
-    PrivateCache pc(cfg, 0);
+    PrivateCache pc(cfg);
     // L1D: 2 KB 8-way = 32 blocks, 4 sets. Fill 9 blocks mapping to L1
     // set 0 but distinct L2 sets... use stride 4 (L1 sets) which is
     // also < L2 sets (8), so pick stride lcm: L1 set = b & 3, L2 set =
@@ -75,7 +76,7 @@ TEST(PrivateCache, L2HitAfterL1Eviction)
 TEST(PrivateCache, L2EvictionEmitsVictimAndDropsL1)
 {
     SystemConfig cfg = tinyConfig();
-    PrivateCache pc(cfg, 0);
+    PrivateCache pc(cfg);
     // L2: 8 sets, 8 ways. Fill nine blocks of L2 set 0 (stride 8).
     PrivateEviction ev;
     for (BlockAddr b = 0; b < 9 * 8; b += 8) {
@@ -90,7 +91,7 @@ TEST(PrivateCache, L2EvictionEmitsVictimAndDropsL1)
 
 TEST(PrivateCache, InvalidateReportsPriorStateAndCountsDevs)
 {
-    PrivateCache pc(tinyConfig(), 0);
+    PrivateCache pc(tinyConfig());
     pc.fill(AccessType::Store, 100, MesiState::Modified);
     EXPECT_EQ(pc.invalidate(100, true), MesiState::Modified);
     EXPECT_EQ(pc.state(100), MesiState::Invalid);
@@ -102,7 +103,7 @@ TEST(PrivateCache, InvalidateReportsPriorStateAndCountsDevs)
 
 TEST(PrivateCache, DowngradePreservesData)
 {
-    PrivateCache pc(tinyConfig(), 0);
+    PrivateCache pc(tinyConfig());
     pc.fill(AccessType::Store, 100, MesiState::Modified);
     EXPECT_EQ(pc.downgrade(100), MesiState::Modified);
     EXPECT_EQ(pc.state(100), MesiState::Shared);
@@ -110,11 +111,96 @@ TEST(PrivateCache, DowngradePreservesData)
 
 TEST(PrivateCache, SeparateInstructionAndDataL1)
 {
-    PrivateCache pc(tinyConfig(), 0);
+    PrivateCache pc(tinyConfig());
     pc.fill(AccessType::Ifetch, 100, MesiState::Shared);
     EXPECT_EQ(pc.access(AccessType::Ifetch, 100), CoreLookup::L1Hit);
     // A data access to the same block misses the L1D but hits the L2.
     EXPECT_EQ(pc.access(AccessType::Load, 100), CoreLookup::L2Hit);
+}
+
+// An L1 hit finds its L2 line through the way byte, and must still
+// touch it: otherwise a block hot in the L1 would age out of the L2 and
+// take its L1 copy with it.
+TEST(PrivateCache, L1HitsKeepL2Recency)
+{
+    PrivateCache pc(tinyConfig());
+    // Stride 8 stays in L1D set 0 (4 sets) and L2 set 0 (8 sets); both
+    // are 8-way, so A and seven others fill both sets, A the oldest.
+    const BlockAddr a = 0;
+    for (BlockAddr b = a; b < 8 * 8; b += 8)
+        pc.fill(AccessType::Load, b, MesiState::Exclusive);
+    for (int i = 0; i < 3; ++i)
+        ASSERT_EQ(pc.access(AccessType::Load, a), CoreLookup::L1Hit);
+    const PrivateEviction ev =
+        pc.fill(AccessType::Load, 8 * 8, MesiState::Exclusive);
+    ASSERT_TRUE(ev.valid);
+    EXPECT_EQ(ev.block, 8u); // the oldest of the others, not A
+    EXPECT_EQ(pc.state(a), MesiState::Exclusive);
+    EXPECT_EQ(pc.access(AccessType::Load, a), CoreLookup::L1Hit);
+}
+
+// A store to a Shared block that the L1 holds returns NeedUpgrade
+// before either array is touched: the arrays (tags, ranks, states) save
+// the same bytes as before the store, and only the store and upgrade
+// counters move.
+TEST(PrivateCache, StoreToSharedL1HitNeedsUpgrade)
+{
+    PrivateCache pc(tinyConfig());
+    const BlockAddr a = 0;
+    pc.fill(AccessType::Load, a, MesiState::Shared);
+    // A younger block in the same L1D and L2 sets, so that a touch of A
+    // would reorder both.
+    pc.fill(AccessType::Load, a + 8, MesiState::Exclusive);
+    ASSERT_EQ(pc.access(AccessType::Load, a), CoreLookup::L1Hit);
+    pc.fill(AccessType::Load, a + 16, MesiState::Exclusive);
+
+    SerialOut before;
+    pc.save(before);
+    const PrivateCacheStats ref = pc.stats();
+    EXPECT_EQ(pc.access(AccessType::Store, a), CoreLookup::NeedUpgrade);
+    SerialOut after;
+    pc.save(after);
+
+    // The ten stat counters close the image.
+    const std::size_t arrays = before.data().size() - 10 * 8;
+    ASSERT_EQ(after.data().size(), before.data().size());
+    EXPECT_TRUE(std::equal(before.data().begin(),
+                           before.data().begin() + arrays,
+                           after.data().begin()));
+    const PrivateCacheStats &st = pc.stats();
+    EXPECT_EQ(st.stores, ref.stores + 1);
+    EXPECT_EQ(st.upgrades, ref.upgrades + 1);
+    EXPECT_EQ(st.loads, ref.loads);
+    EXPECT_EQ(st.l1Hits, ref.l1Hits);
+    EXPECT_EQ(st.l2Hits, ref.l2Hits);
+    EXPECT_EQ(st.misses, ref.misses);
+    EXPECT_EQ(pc.state(a), MesiState::Shared);
+}
+
+// A block that leaves the L2 and comes back in another way gets a new
+// L1 line with the new way: a stale byte would make the store below
+// read (and upgrade) the block now living in the old way.
+TEST(PrivateCache, WayHintSurvivesL2Refill)
+{
+    PrivateCache pc(tinyConfig());
+    // L2 set 0 ways 0..7: A, then B1..B7 (stride 8), A the oldest.
+    const BlockAddr a = 0;
+    for (BlockAddr b = a; b < 8 * 8; b += 8)
+        pc.fill(AccessType::Load, b, MesiState::Exclusive);
+    // B8 evicts A and takes its way (0) in Shared.
+    const BlockAddr b8 = 8 * 8;
+    PrivateEviction ev = pc.fill(AccessType::Load, b8, MesiState::Shared);
+    ASSERT_TRUE(ev.valid);
+    ASSERT_EQ(ev.block, a);
+    // A comes back, evicting B1 and taking its way (1).
+    ev = pc.fill(AccessType::Load, a, MesiState::Exclusive);
+    ASSERT_TRUE(ev.valid);
+    ASSERT_EQ(ev.block, 8u);
+
+    EXPECT_EQ(pc.access(AccessType::Store, a), CoreLookup::L1Hit);
+    EXPECT_EQ(pc.state(a), MesiState::Modified);
+    EXPECT_EQ(pc.state(b8), MesiState::Shared);
+    EXPECT_EQ(pc.access(AccessType::Load, b8), CoreLookup::L1Hit);
 }
 
 // ---------------------------------------------------------------------

@@ -346,11 +346,47 @@ expectBlockWordRejected(const T &src, T &dst, BlockAddr block,
 TEST(SnapshotBlockWords, TamperedL2BlockRejected)
 {
     const BlockAddr block = 0x5a5a5a5a5a1ull;
-    PrivateCache pc(testutil::tinyConfig(), 0);
+    PrivateCache pc(testutil::tinyConfig());
     pc.fill(AccessType::Load, block, MesiState::Exclusive);
-    PrivateCache dst(testutil::tinyConfig(), 0);
+    PrivateCache dst(testutil::tinyConfig());
     expectBlockWordRejected(pc, dst, block,
                             "L2 block does not match its set and tag");
+}
+
+// The L2 is inclusive of the L1s, and an L1 hit trusts it: restore()
+// rejects an L1 line whose block the L2 does not hold, and a block held
+// twice in one L1. An L1D line record ends in its tag (block / 4 sets
+// in the tiny config) and rank.
+TEST(SnapshotBlockWords, L1LineOutsideL2Rejected)
+{
+    const BlockAddr block = 0x5a5a5a5a5a1ull;
+    PrivateCache pc(testutil::tinyConfig());
+    pc.fill(AccessType::Load, block, MesiState::Exclusive);
+    SerialOut out;
+    pc.save(out);
+    std::vector<std::uint8_t> bytes = out.data();
+    std::size_t at = 0;
+    ASSERT_NO_FATAL_FAILURE(wordsAt(bytes, {block >> 2}, at));
+    bytes[at] ^= 0x01; // now a block of the same L1 set the L2 lacks
+    PrivateCache dst(testutil::tinyConfig());
+    expectRestoreRejected(dst, bytes, "L1 line outside the L2");
+}
+
+TEST(SnapshotBlockWords, L1BlockHeldTwiceRejected)
+{
+    const BlockAddr block = 0x5a5a5a5a5a1ull;
+    const BlockAddr other = block + 4; // same L1 set, next L1 tag
+    PrivateCache pc(testutil::tinyConfig());
+    pc.fill(AccessType::Load, block, MesiState::Exclusive);
+    pc.fill(AccessType::Load, other, MesiState::Exclusive);
+    SerialOut out;
+    pc.save(out);
+    std::vector<std::uint8_t> bytes = out.data();
+    std::size_t at = 0;
+    ASSERT_NO_FATAL_FAILURE(wordsAt(bytes, {other >> 2}, at));
+    bytes[at] ^= 0x01; // other's line now holds block a second time
+    PrivateCache dst(testutil::tinyConfig());
+    expectRestoreRejected(dst, bytes, "block held twice in one L1");
 }
 
 TEST(SnapshotBlockWords, TamperedSparseDirectoryBlockRejected)
