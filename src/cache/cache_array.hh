@@ -6,9 +6,9 @@
  * The array is laid out structure-of-arrays: tags and payload state live
  * in parallel vectors, and each set has a small header of whole 64-bit
  * words: its occupancy mask, then one LRU rank byte per way. The way-scan
- * in find()/victim() therefore walks a contiguous std::uint64_t tag row
- * (one cache line per 8 ways) instead of striding whole line structs,
- * and free/occupied questions are single bit tests.
+ * in find() therefore walks a contiguous std::uint64_t tag row (one
+ * cache line per 8 ways) instead of striding whole line structs, and
+ * free/occupied questions are single bit tests.
  *
  * Replacement only ever compares recency among the ways of one set, so
  * a way's recency is its rank in the set: 0 is the most recently used
@@ -16,7 +16,9 @@
  * of 0..ways-1; the bytes that pad the last rank word hold 0x7f, above
  * every rank, so the SWAR update in touch() never moves them. A new
  * array ranks way 0 oldest. Every client follows occupy() with touch(),
- * so among occupied ways rank order is exactly last-touch order.
+ * so among occupied ways rank order is exactly last-touch order, and
+ * the LRU way of a full set is the one lane that holds ways-1: victim
+ * selection reads it from the rank words instead of comparing ways.
  *
  * CacheArray is a template over the *payload* type: the per-line state a
  * client keeps beyond tag/LRU/occupancy. A payload type must provide
@@ -35,7 +37,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "common/bitops.hh"
@@ -256,9 +257,14 @@ class CacheArray
      * Pick a victim way in @p set: a free way if one exists, otherwise the
      * least-recently-used (highest-ranked) line within the lowest
      * non-empty priority class.
-     * @p classify maps a payload to a class; lower classes are evicted
-     * first. Plain LRU is classify = [](auto&){ return 0; }.
+     * @p classify maps a payload to a class in [0, 2^24); lower classes
+     * are evicted first. Plain LRU is victimLru().
      * @p exclude_way (if >= 0) is never selected.
+     *
+     * The choice is one branch-free minimum over a key per eligible way,
+     * (class << 8 | (0xff - rank)) << 6 | way: ranks are distinct within
+     * a set, so the minimum is the oldest way of the lowest class, and
+     * the way rides in the low bits.
      */
     template <typename Classify>
     std::uint32_t
@@ -271,33 +277,36 @@ class CacheArray
         const std::uint64_t free = allowed & ~occ(set);
         if (free != 0)
             return static_cast<std::uint32_t>(std::countr_zero(free));
-
-        std::uint32_t best_way = 0;
-        int best_class = std::numeric_limits<int>::max();
-        std::uint32_t best_rank = 0;
-        bool found = false;
-        for (std::uint64_t m = allowed & occ(set); m != 0; m &= m - 1) {
-            const auto w = static_cast<std::uint32_t>(std::countr_zero(m));
-            const int cls = classify(line(set, w));
-            const std::uint32_t rank = rankAt(set, w);
-            if (cls < best_class ||
-                (cls == best_class && rank > best_rank)) {
-                best_class = cls;
-                best_rank = rank;
-                best_way = w;
-                found = true;
-            }
-        }
-        if (!found)
+        if (allowed == 0)
             panic("victim(): no eligible way in set");
-        return best_way;
+
+        const unsigned char *ranks = rankBytes(set);
+        std::uint64_t best = ~0ull;
+        for (std::uint64_t m = allowed; m != 0; m &= m - 1) {
+            const auto w = static_cast<std::uint32_t>(std::countr_zero(m));
+            const auto cls =
+                static_cast<std::uint64_t>(classify(line(set, w)));
+            const std::uint64_t key =
+                ((cls << 8 | (0xffu - ranks[w])) << 6) | w;
+            best = std::min(best, key);
+        }
+        return static_cast<std::uint32_t>(best & 63);
     }
 
-    /** LRU victim with a single priority class. */
+    /**
+     * LRU victim with a single priority class: the lowest free way if
+     * the set has one, otherwise the way whose rank is ways-1. The ranks
+     * of a set are a permutation of 0..ways-1, so exactly one lane of
+     * the rank words holds ways-1; a SWAR zero-byte search of the rank
+     * words XOR that rank finds it (see lruWay()).
+     */
     std::uint32_t
     victimLru(std::size_t set) const
     {
-        return victim(set, [](const LineT &) { return 0; });
+        const std::uint64_t free = ~occ(set) & waysMask_;
+        if (free != 0)
+            return static_cast<std::uint32_t>(std::countr_zero(free));
+        return lruWay(set);
     }
 
     /** Count occupied lines satisfying @p pred over the whole array. */
@@ -452,6 +461,15 @@ class CacheArray
                                                                 : 7 - lane);
     }
 
+    /** Way (within its rank word) of the lane at byte @p byte of the
+     *  word's value: the inverse of laneShift(). */
+    static std::uint32_t
+    laneOf(unsigned byte)
+    {
+        return std::endian::native == std::endian::little ? byte
+                                                           : 7 - byte;
+    }
+
     /** 0x01 in each lane of @p w below the rank broadcast in @p rs, 0x00
      *  elsewhere. Every lane is below 0x80, so (lane | 0x80) - r keeps
      *  its high bit exactly when lane >= r, and no lane borrows from its
@@ -460,6 +478,26 @@ class CacheArray
     younger(std::uint64_t w, std::uint64_t rs)
     {
         return ((((w | kLaneHigh) - rs) & kLaneHigh) ^ kLaneHigh) >> 7;
+    }
+
+    /** The way of @p set whose rank lane holds ways-1. XOR with the
+     *  broadcast rank zeroes exactly that lane; (x - 0x01..) & ~x &
+     *  0x80.. flags a zero lane with its high bit. A borrow can flag
+     *  lanes above a true zero lane but never one below it, so the
+     *  lowest flag is the match. Padding lanes (kPadRank) never match:
+     *  ways-1 is at most 63. Sets of up to eight ways read one word. */
+    std::uint32_t
+    lruWay(std::size_t set) const
+    {
+        const std::uint64_t *row = hdr_.data() + set * hdrWords_ + 1;
+        const std::uint64_t oldest = (ways_ - 1) * kLaneLow;
+        for (std::uint32_t i = 0;; ++i) {
+            const std::uint64_t x = row[i] ^ oldest;
+            const std::uint64_t z = (x - kLaneLow) & ~x & kLaneHigh;
+            if (z != 0 || i + 1 == rankWords_)
+                return 8 * i + laneOf(
+                           static_cast<unsigned>(std::countr_zero(z)) / 8);
+        }
     }
 
     std::uint64_t occ(std::size_t set) const
@@ -529,30 +567,6 @@ constexpr std::uint64_t
 tagOf(std::uint64_t block_addr, std::size_t sets)
 {
     return block_addr / sets;
-}
-
-/** Home bank of a block in a banked structure. */
-constexpr std::uint32_t
-bankOf(std::uint64_t block_addr, std::uint32_t banks)
-{
-    return static_cast<std::uint32_t>(block_addr & (banks - 1));
-}
-
-/** Set index within a bank: banks strip the low bits first. */
-constexpr std::size_t
-bankSetIndex(std::uint64_t block_addr, std::uint32_t banks,
-             std::size_t sets_per_bank)
-{
-    return static_cast<std::size_t>((block_addr >> floorLog2(banks)) &
-                                    (sets_per_bank - 1));
-}
-
-/** Tag within a banked structure. */
-constexpr std::uint64_t
-bankTag(std::uint64_t block_addr, std::uint32_t banks,
-        std::size_t sets_per_bank)
-{
-    return (block_addr >> floorLog2(banks)) / sets_per_bank;
 }
 
 } // namespace zerodev

@@ -17,8 +17,8 @@ SocketDirectory::SocketDirectory(Backing backing, std::uint64_t sets,
 void
 SocketDirectory::install(BlockAddr block)
 {
-    const std::size_t set = setIndex(block, tags_.numSets());
-    const std::uint64_t tag = tagOf(block, tags_.numSets());
+    const std::size_t set = tags_.setOfAddr(block);
+    const std::uint64_t tag = tags_.tagOfAddr(block);
     WayRef free_way = tags_.findFree(set);
     if (!free_way.found) {
         // Owned entries get the higher replacement priority (Section
@@ -65,8 +65,8 @@ SocketDirectory::Access
 SocketDirectory::access(BlockAddr block)
 {
     ++stats_.lookups;
-    const std::size_t set = setIndex(block, tags_.numSets());
-    const std::uint64_t tag = tagOf(block, tags_.numSets());
+    const std::size_t set = tags_.setOfAddr(block);
+    const std::uint64_t tag = tags_.tagOfAddr(block);
     const WayRef ref = tags_.find(set, tag, [&](const TagLine &l) {
         return l.block == block;
     });
