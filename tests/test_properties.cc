@@ -350,5 +350,142 @@ TEST(InvariantRules, CorruptionSafety)
               "the system");
 }
 
+/** Every violation of a sweep as "rule: detail", in emission order. */
+std::vector<std::string>
+allViolations(const CmpSystem &sys)
+{
+    std::vector<std::string> out;
+    for (const Violation &v : checkInvariants(sys))
+        out.push_back(v.rule + ": " + v.detail);
+    return out;
+}
+
+/** tinyConfig() under the directoryless backend. */
+SystemConfig
+tinyDls()
+{
+    SystemConfig cfg = testutil::tinyConfig();
+    cfg.protocol = ProtocolKind::Dls;
+    return cfg;
+}
+
+TEST(InvariantRules, TrackingCompleteness)
+{
+    CmpSystem sys(testutil::tinyConfig());
+    sys.access(0, AccessType::Load, 6, 0);
+    // Core 0 gains a block no directory entry or segment tracks.
+    mut(sys.privateCache(0, 0)).fill(AccessType::Load, 5, MesiState::Shared);
+    EXPECT_EQ(firstDetail(sys, "tracking-completeness"),
+              "socket 0 block 0x5 cached but untracked");
+}
+
+TEST(InvariantRules, OwnerStateOwnedButTrackedShared)
+{
+    CmpSystem sys(testutil::tinyConfig());
+    sys.access(0, AccessType::Load, 5, 0);
+    sys.access(1, AccessType::Load, 5, 0);
+    // Core 0 silently writes a block the directory tracks as Shared.
+    mut(sys.privateCache(0, 0)).upgradeToModified(5);
+    EXPECT_EQ(firstDetail(sys, "owner-state"),
+              "block 0x5 owned privately but tracked as Shared");
+    EXPECT_EQ(firstDetail(sys, "tracking-precision"), "");
+}
+
+TEST(InvariantRules, OwnerStateTrackedOwnedButNotHeld)
+{
+    CmpSystem sys(testutil::tinyConfig());
+    sys.access(0, AccessType::Store, 5, 0);
+    // Core 0 drops to S behind the directory's Owned entry.
+    mut(sys.privateCache(0, 0)).downgrade(5);
+    EXPECT_EQ(firstDetail(sys, "owner-state"),
+              "block 0x5 tracked as Owned but no core holds M/E");
+    EXPECT_EQ(firstDetail(sys, "tracking-precision"), "");
+}
+
+TEST(InvariantRules, FpssSpilledShared)
+{
+    CmpSystem sys(testutil::tinyZeroDev());
+    // A data line and an Owned spilled entry for one block: FPSS only
+    // spills the entry of a block in S.
+    Llc &llc = mut(sys.llc(0));
+    llc.allocate(0x44, LlcLineKind::Data, false, DirEntry{});
+    DirEntry e;
+    e.state = DirState::Owned;
+    e.sharers.set(0);
+    llc.allocate(0x44, LlcLineKind::SpilledDe, false, e);
+    EXPECT_EQ(firstDetail(sys, "fpss-spilled-shared"),
+              "FPSS spilled entry for 0x44 co-resident with its block is "
+              "not S");
+}
+
+TEST(InvariantRules, EpdExclusivePrivate)
+{
+    SystemConfig cfg = testutil::tinyConfig();
+    cfg.llcFlavor = LlcFlavor::Epd;
+    CmpSystem sys(cfg);
+    sys.access(0, AccessType::Store, 5, 0);
+    // An EPD LLC gains a data copy of a block core 0 holds in M.
+    mut(sys.llc(0)).allocate(5, LlcLineKind::Data, false, DirEntry{});
+    EXPECT_EQ(firstDetail(sys, "epd-exclusive-private"),
+              "M/E block 0x5 resident in an EPD LLC");
+}
+
+TEST(InvariantRules, DlsSwmr)
+{
+    CmpSystem sys(tinyDls());
+    sys.access(0, AccessType::Store, 5, 0);
+    // A reader's copy next to core 0's M copy.
+    mut(sys.privateCache(0, 1)).fill(AccessType::Load, 5, MesiState::Shared);
+    EXPECT_EQ(firstDetail(sys, "dls-swmr"),
+              "block 0x5 is owned M/E alongside other copies");
+    EXPECT_EQ(firstDetail(sys, "single-owner"), "");
+}
+
+TEST(InvariantRules, DlsLlcExclusion)
+{
+    CmpSystem sys(tinyDls());
+    sys.access(0, AccessType::Store, 5, 0);
+    // The store removed the LLC line; plant it back.
+    mut(sys.llc(0)).allocate(5, LlcLineKind::Data, false, DirEntry{});
+    EXPECT_EQ(firstDetail(sys, "dls-llc-exclusion"),
+              "M/E block 0x5 still has an LLC data line");
+}
+
+// The duplicated tags come out in ascending block order, not in the LLC
+// walk's order: 0x44 (bank 0) is walked before 0x3 (bank 1).
+TEST(InvariantRules, TagDuplicationsInBlockOrder)
+{
+    CmpSystem sys(testutil::tinyConfig());
+    Llc &llc = mut(sys.llc(0));
+    for (int i = 0; i < 3; ++i) {
+        llc.allocate(0x44, LlcLineKind::Data, false, DirEntry{});
+        llc.allocate(0x3, LlcLineKind::Data, false, DirEntry{});
+    }
+    llc.allocate(0x3, LlcLineKind::Data, false, DirEntry{});
+    EXPECT_EQ(allViolations(sys),
+              (std::vector<std::string>{
+                  "tag-duplication: block 0x3 matches 4 LLC lines",
+                  "tag-duplication: block 0x44 matches 3 LLC lines"}));
+}
+
+// Mismatched blocks come out in ascending block order, not in the
+// private caches' walk order: 0x9 (L2 set 1) is walked before 0x2 (set 2).
+TEST(InvariantRules, TrackingPrecisionInBlockOrder)
+{
+    CmpSystem sys(testutil::tinyConfig());
+    sys.access(0, AccessType::Load, 0x2, 0);
+    sys.access(0, AccessType::Load, 0x9, 0);
+    // Core 1 gains copies the directory never saw.
+    PrivateCache &pc = mut(sys.privateCache(0, 1));
+    pc.fill(AccessType::Load, 0x9, MesiState::Shared);
+    pc.fill(AccessType::Load, 0x2, MesiState::Shared);
+    EXPECT_EQ(allViolations(sys),
+              (std::vector<std::string>{
+                  "tracking-precision: socket 0 block 0x2 sharer vector "
+                  "mismatch",
+                  "tracking-precision: socket 0 block 0x9 sharer vector "
+                  "mismatch"}));
+}
+
 } // namespace
 } // namespace zerodev
