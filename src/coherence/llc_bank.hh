@@ -22,6 +22,7 @@
 #ifndef ZERODEV_COHERENCE_LLC_BANK_HH
 #define ZERODEV_COHERENCE_LLC_BANK_HH
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -116,6 +117,26 @@ class Llc
      *  invariant sweeps that must leave the statistics alone. Do not
      *  modify lines through the result. */
     LlcProbe peek(BlockAddr block) const;
+
+    /** Count the lines of @p block's set that hold @p block and whose
+     *  kind satisfies @p want, without counting a lookup (an observer
+     *  for the invariant sweeps; unlike peek() it sees every match, so
+     *  it can count a third one). */
+    template <typename Pred>
+    std::uint32_t
+    countLines(BlockAddr block, Pred want) const
+    {
+        const CacheArray<LlcLine> &bank = banks_[bankOfBlock(block)];
+        const std::uint64_t addr = block >> bankShift_;
+        const std::size_t set = bank.setOfAddr(addr);
+        std::uint32_t n = 0;
+        for (std::uint64_t m = bank.matchMask(set, bank.tagOfAddr(addr));
+             m != 0; m &= m - 1) {
+            const auto w = static_cast<std::uint32_t>(std::countr_zero(m));
+            n += want(bank.line(set, w).kind);
+        }
+        return n;
+    }
 
     /** Count a tag lookup whose lines were located through peek(). */
     void noteLookup() { ++stats_.lookups; }

@@ -27,39 +27,70 @@ struct Holders
     std::uint32_t owners = 0; //!< cores holding the block in M/E
 };
 
-using Held = std::pair<BlockAddr, Holders>; //!< sorted by block
-using Tag = std::pair<BlockAddr, LlcLineKind>; //!< one per LLC line
+/** One privately cached copy. A socket's copies are kept sorted by
+ *  block, so the copies of one block form a run. */
+struct Copy
+{
+    BlockAddr block;
+    CoreId core;
+    std::uint32_t owner; //!< 1 if the copy is in M/E
+};
+static_assert(sizeof(Copy) == 16, "a private copy record is 16 bytes");
 
-template <typename T>
+/** Orders copies, and copies against blocks, by block. */
+struct ByBlock
+{
+    bool
+    operator()(const Copy &a, const Copy &b) const
+    {
+        return a.block < b.block;
+    }
+    bool operator()(const Copy &a, BlockAddr b) const { return a.block < b; }
+    bool operator()(BlockAddr a, const Copy &b) const { return a < b.block; }
+};
+
+using CopyIter = std::vector<Copy>::const_iterator;
+
+/** Which cores hold the copies [@p lo, @p hi) of one block. */
+Holders
+holdersIn(CopyIter lo, CopyIter hi)
+{
+    Holders h;
+    for (; lo != hi; ++lo) {
+        h.cores.set(lo->core);
+        h.owners += lo->owner;
+    }
+    return h;
+}
+
+/** Which cores cache @p b (none if it is not cached). */
+Holders
+holdersOf(const std::vector<Copy> &copies, BlockAddr b)
+{
+    const auto [lo, hi] =
+        std::equal_range(copies.begin(), copies.end(), b, ByBlock{});
+    return holdersIn(lo, hi);
+}
+
+/** Visit each cached block once, in ascending order: fn(block,
+ *  holders). */
+template <typename Fn>
+void
+forEachHeld(const std::vector<Copy> &copies, Fn &&fn)
+{
+    for (CopyIter lo = copies.begin(); lo != copies.end();) {
+        CopyIter hi = lo + 1;
+        while (hi != copies.end() && hi->block == lo->block)
+            ++hi;
+        fn(lo->block, holdersIn(lo, hi));
+        lo = hi;
+    }
+}
+
 bool
-byBlock(const T &a, const T &b)
+anyKind(LlcLineKind)
 {
-    return a.first < b.first;
-}
-
-/** The block's entries of a by-block sorted vector. */
-template <typename T>
-std::pair<typename std::vector<T>::const_iterator,
-          typename std::vector<T>::const_iterator>
-entriesOf(const std::vector<T> &v, BlockAddr b)
-{
-    return std::equal_range(v.begin(), v.end(), T{b, {}}, byBlock<T>);
-}
-
-const Holders *
-holdersOf(const std::vector<Held> &cached, BlockAddr b)
-{
-    const auto [lo, hi] = entriesOf(cached, b);
-    return lo != hi ? &lo->second : nullptr;
-}
-
-/** Does the LLC hold a line for @p b whose kind satisfies @p want? */
-template <typename Pred>
-bool
-llcHolds(const std::vector<Tag> &tags, BlockAddr b, Pred want)
-{
-    const auto [lo, hi] = entriesOf(tags, b);
-    return std::any_of(lo, hi, [&](const Tag &t) { return want(t.second); });
+    return true;
 }
 
 /** A data-bearing line: a plain data line or a fused one. */
@@ -67,6 +98,14 @@ bool
 carriesData(LlcLineKind k)
 {
     return k == LlcLineKind::Data || k == LlcLineKind::FusedDe;
+}
+
+/** A plain data line: the only kind whose data can restore memory (a
+ *  fused line's entry overwrote part of its block). */
+bool
+isData(LlcLineKind k)
+{
+    return k == LlcLineKind::Data;
 }
 
 } // namespace
@@ -83,43 +122,29 @@ checkInvariants(const CmpSystem &sys)
         out.push_back({rule, det});
     };
 
-    // Per socket, the privately cached blocks and the LLC lines, as
-    // vectors sorted by block (kept for the system-wide pass). Walks
-    // over them visit blocks in ascending order, as the ordered maps
-    // they replace did, so violations come out in the same order.
-    std::vector<std::vector<Held>> cachedBy(cfg.sockets);
-    std::vector<std::vector<Tag>> tagsBy(cfg.sockets);
+    // Per socket, the privately cached copies sorted by block (kept for
+    // the system-wide pass). Walks over them visit blocks in ascending
+    // order, so violations come out in block order. The LLC is not
+    // copied: its lines are counted in place (Llc::countLines).
+    std::vector<std::vector<Copy>> copiesBy(cfg.sockets);
 
     for (SocketId s = 0; s < cfg.sockets; ++s) {
         // Ground truth: which cores of this socket cache which blocks.
-        // One entry per cached copy, then merged per block.
-        std::vector<Held> &cached = cachedBy[s];
-        std::size_t copies = 0;
+        std::vector<Copy> &copies = copiesBy[s];
+        std::size_t count = 0;
         for (CoreId c = 0; c < cfg.coresPerSocket; ++c)
-            copies += sys.privateCache(s, c).validBlocks();
-        cached.reserve(copies);
+            count += sys.privateCache(s, c).validBlocks();
+        copies.reserve(count);
         for (CoreId c = 0; c < cfg.coresPerSocket; ++c) {
             sys.privateCache(s, c).forEachBlock(
                 [&](BlockAddr b, MesiState st) {
-                    Holders h;
-                    h.cores.set(c);
-                    h.owners = st == MesiState::Modified ||
-                               st == MesiState::Exclusive;
-                    cached.emplace_back(b, h);
+                    copies.push_back(
+                        {b, c,
+                         st == MesiState::Modified ||
+                             st == MesiState::Exclusive});
                 });
         }
-        std::sort(cached.begin(), cached.end(), byBlock<Held>);
-        std::size_t merged = 0;
-        for (const Held &copy : cached) {
-            if (merged && cached[merged - 1].first == copy.first) {
-                Holders &h = cached[merged - 1].second;
-                h.cores |= copy.second.cores;
-                h.owners += copy.second.owners;
-            } else {
-                cached[merged++] = copy;
-            }
-        }
-        cached.resize(merged);
+        std::sort(copies.begin(), copies.end(), ByBlock{});
 
         // 0. L1 inclusion: every L1 line's block is in the same core's
         // L2, the line's way byte names that block's L2 way (an L1 hit
@@ -150,60 +175,61 @@ checkInvariants(const CmpSystem &sys)
         // single writer (an M owner is the sole holder) and, below once
         // the LLC is scanned, writer exclusivity against the LLC.
         if (dls) {
-            for (const auto &[block, holders] : cached) {
-                if (holders.owners > 1) {
+            forEachHeld(copies, [&](BlockAddr block, const Holders &h) {
+                if (h.owners > 1) {
                     violate("single-owner",
                             "block " + hex(block) +
                                 " has multiple M/E owners");
                 }
-                if (holders.owners == 1 && holders.cores.count() != 1) {
+                if (h.owners == 1 && h.cores.count() != 1) {
                     violate("dls-swmr",
                             "block " + hex(block) +
                                 " is owned M/E alongside other copies");
                 }
-            }
+            });
         }
 
         // 1. Tracking completeness: every privately cached block has a
         // directory entry (in-socket or housed in home memory) whose
-        // sharer vector matches the caching cores exactly.
-        for (const auto &[block, holders] : cached) {
-            if (dls)
-                break; // no tracking exists; rules 1-DLS above apply
-            Tracking trk = sys.peekTracking(s, block);
-            DirEntry entry;
-            if (trk.found()) {
-                entry = trk.entry;
-            } else {
-                auto seg = sys.memStore(sys.homeSocket(block))
-                               .loadSegment(block, s);
-                if (!seg) {
-                    violate("tracking-completeness",
-                            "socket " + std::to_string(s) + " block " +
-                                hex(block) + " cached but untracked");
-                    continue;
+        // sharer vector matches the caching cores exactly. (No tracking
+        // exists under DLS; rules 1-DLS above apply.)
+        if (!dls) {
+            forEachHeld(copies, [&](BlockAddr block, const Holders &h) {
+                Tracking trk = sys.peekTracking(s, block);
+                DirEntry entry;
+                if (trk.found()) {
+                    entry = trk.entry;
+                } else {
+                    auto seg = sys.memStore(sys.homeSocket(block))
+                                   .loadSegment(block, s);
+                    if (!seg) {
+                        violate("tracking-completeness",
+                                "socket " + std::to_string(s) + " block " +
+                                    hex(block) + " cached but untracked");
+                        return;
+                    }
+                    entry = *seg;
                 }
-                entry = *seg;
-            }
-            if (entry.sharers != holders.cores) {
-                violate("tracking-precision",
-                        "socket " + std::to_string(s) + " block " +
-                            hex(block) + " sharer vector mismatch");
-            }
-            if (holders.owners > 1) {
-                violate("single-owner",
-                        "block " + hex(block) + " has multiple M/E owners");
-            }
-            if (holders.owners == 1 && entry.state != DirState::Owned) {
-                violate("owner-state",
-                        "block " + hex(block) +
-                            " owned privately but tracked as Shared");
-            }
-            if (holders.owners == 0 && entry.state == DirState::Owned) {
-                violate("owner-state",
-                        "block " + hex(block) +
-                            " tracked as Owned but no core holds M/E");
-            }
+                if (entry.sharers != h.cores) {
+                    violate("tracking-precision",
+                            "socket " + std::to_string(s) + " block " +
+                                hex(block) + " sharer vector mismatch");
+                }
+                if (h.owners > 1) {
+                    violate("single-owner", "block " + hex(block) +
+                                                " has multiple M/E owners");
+                }
+                if (h.owners == 1 && entry.state != DirState::Owned) {
+                    violate("owner-state",
+                            "block " + hex(block) +
+                                " owned privately but tracked as Shared");
+                }
+                if (h.owners == 0 && entry.state == DirState::Owned) {
+                    violate("owner-state",
+                            "block " + hex(block) +
+                                " tracked as Owned but no core holds M/E");
+                }
+            });
         }
 
         // 2. No dangling entries: every live entry tracks cores that
@@ -216,8 +242,8 @@ checkInvariants(const CmpSystem &sys)
                                           hex(block));
                 return;
             }
-            const Holders *h = holdersOf(cached, block);
-            if (!h || h->cores != e.sharers) {
+            const SharerSet cores = holdersOf(copies, block).cores;
+            if (cores.none() || cores != e.sharers) {
                 violate("no-dangling",
                         std::string(where) + " entry for " + hex(block) +
                             " tracks cores that do not cache it");
@@ -232,12 +258,14 @@ checkInvariants(const CmpSystem &sys)
             });
         }
 
-        // 3. LLC line rules.
+        // 3. LLC line rules. At most two tag matches per block (block +
+        // spilled entry): the walk collects the blocks with more, which
+        // are reported afterwards in ascending order.
         const Llc &llc = sys.llc(s);
-        std::vector<Tag> &tags = tagsBy[s];
-        tags.reserve(llc.occupiedLines());
+        std::vector<BlockAddr> duplicated;
         llc.forEach([&](BlockAddr b, const LlcLine &l) {
-            tags.emplace_back(b, l.kind);
+            if (llc.countLines(b, anyKind) > 2)
+                duplicated.push_back(b);
             switch (l.kind) {
               case LlcLineKind::Data:
                 break;
@@ -271,21 +299,18 @@ checkInvariants(const CmpSystem &sys)
                 break;
             }
         });
-        std::sort(tags.begin(), tags.end(), byBlock<Tag>);
-        const auto llc_has_data = [&](BlockAddr b) {
-            return llcHolds(tags, b, carriesData);
-        };
-        // At most two tag matches per block (block + spilled entry).
-        for (auto run = tags.begin(); run != tags.end();) {
-            const auto end =
-                std::upper_bound(run, tags.end(), *run, byBlock<Tag>);
-            if (end - run > 2) {
-                violate("tag-duplication",
-                        "block " + hex(run->first) + " matches " +
-                            std::to_string(end - run) + " LLC lines");
-            }
-            run = end;
+        std::sort(duplicated.begin(), duplicated.end());
+        duplicated.erase(std::unique(duplicated.begin(), duplicated.end()),
+                         duplicated.end());
+        for (BlockAddr b : duplicated) {
+            violate("tag-duplication",
+                    "block " + hex(b) + " matches " +
+                        std::to_string(llc.countLines(b, anyKind)) +
+                        " LLC lines");
         }
+        const auto llc_has_data = [&](BlockAddr b) {
+            return llc.countLines(b, carriesData) != 0;
+        };
         // FPSS: a spilled entry co-resident with its data block must be
         // in S state (the two-tag-match critical-path invariant).
         if (zerodev && cfg.dirCachePolicy == DirCachePolicy::Fpss) {
@@ -303,42 +328,41 @@ checkInvariants(const CmpSystem &sys)
         // 3-DLS. Writer exclusivity: a store removed the LLC data line,
         // so an M/E holder and an LLC copy can never coexist.
         if (dls) {
-            for (const auto &[block, holders] : cached) {
-                if (holders.owners > 0 && llc_has_data(block)) {
+            forEachHeld(copies, [&](BlockAddr block, const Holders &h) {
+                if (h.owners > 0 && llc_has_data(block)) {
                     violate("dls-llc-exclusion",
                             "M/E block " + hex(block) +
                                 " still has an LLC data line");
                 }
-            }
+            });
         }
 
         // 4. Inclusion: every privately cached block is in the LLC.
         if (cfg.llcFlavor == LlcFlavor::Inclusive) {
-            for (const auto &[block, holders] : cached) {
-                (void)holders;
+            forEachHeld(copies, [&](BlockAddr block, const Holders &) {
                 if (!llc_has_data(block)) {
                     violate("inclusion",
                             "block " + hex(block) +
                                 " cached privately but absent from an "
                                 "inclusive LLC");
                 }
-            }
+            });
         }
 
         // 5. EPD: an M/E-owned block is not in the LLC as a data line.
         if (cfg.llcFlavor == LlcFlavor::Epd) {
-            for (const auto &[block, holders] : cached) {
-                if (holders.owners > 0 && llc_has_data(block)) {
+            forEachHeld(copies, [&](BlockAddr block, const Holders &h) {
+                if (h.owners > 0 && llc_has_data(block)) {
                     Tracking trk = sys.peekTracking(s, block);
                     if (trk.found() &&
                         trk.where == TrackWhere::LlcFused) {
-                        continue; // a fused line is not a usable copy
+                        return; // a fused line is not a usable copy
                     }
                     violate("epd-exclusive-private",
                             "M/E block " + hex(block) +
                                 " resident in an EPD LLC");
                 }
-            }
+            });
         }
 
         // 6a. Provenance conservation: every DEV and inclusion
@@ -385,23 +409,18 @@ checkInvariants(const CmpSystem &sys)
                     "invalidations");
         }
 
-        // 7. Memory-corruption safety: every destroyed home block (homed
-        // at this socket) is still cached somewhere, or held dirty in
-        // some LLC that will eventually write it back.
-        // (Validated via the segments: a destroyed block must have at
-        // least one live segment, an in-socket entry, or a dirty LLC
-        // copy somewhere.)
-        // Gather dirty LLC copies lazily below.
+        // 7. Memory-corruption safety looks at every socket's copies, so
+        // it runs after this loop.
     }
 
-    // 7 (system-wide pass).
-    // A block is recoverable from any private copy or LLC data line.
+    // 7. Memory-corruption safety, system-wide: every destroyed memory
+    // block is still recoverable, from a private copy in any socket or
+    // from a plain Data line in any socket's LLC (clean or dirty).
     const auto recoverable = [&](BlockAddr b) {
         for (SocketId s = 0; s < cfg.sockets; ++s) {
-            if (holdersOf(cachedBy[s], b) ||
-                llcHolds(tagsBy[s], b, [](LlcLineKind k) {
-                    return k == LlcLineKind::Data;
-                })) {
+            if (std::binary_search(copiesBy[s].begin(), copiesBy[s].end(),
+                                   b, ByBlock{}) ||
+                sys.llc(s).countLines(b, isData) != 0) {
                 return true;
             }
         }

@@ -230,6 +230,30 @@ TEST(Llc, ProbeFindsDataAndSpilled)
     EXPECT_TRUE(llc.entry(*p.spilled).isSharer(1));
 }
 
+// countLines() sees every line holding the block, a third match too,
+// filters by kind and counts no lookup.
+TEST(Llc, CountLinesSeesEveryMatchWithoutALookup)
+{
+    Llc llc = makeLlc(LlcReplPolicy::Lru);
+    const BlockAddr b = llcConflictBlock(0);
+    const auto all = [](LlcLineKind) { return true; };
+    const auto data = [](LlcLineKind k) { return k == LlcLineKind::Data; };
+    EXPECT_EQ(llc.countLines(b, all), 0u);
+    llc.allocate(b, LlcLineKind::Data, false, DirEntry{});
+    llc.allocate(b, LlcLineKind::Data, false, DirEntry{});
+    DirEntry e;
+    e.addSharer(1);
+    llc.allocate(b, LlcLineKind::SpilledDe, false, e);
+    llc.allocate(llcConflictBlock(1), LlcLineKind::Data, false, DirEntry{});
+
+    const std::uint64_t lookups = llc.stats().lookups;
+    EXPECT_EQ(llc.countLines(b, all), 3u);
+    EXPECT_EQ(llc.countLines(b, data), 2u);
+    EXPECT_EQ(llc.countLines(llcConflictBlock(1), data), 1u);
+    EXPECT_EQ(llc.countLines(llcConflictBlock(2), all), 0u);
+    EXPECT_EQ(llc.stats().lookups, lookups);
+}
+
 TEST(Llc, FuseAndUnfusePreserveDirtyBit)
 {
     Llc llc = makeLlc(LlcReplPolicy::DataLru);
