@@ -48,28 +48,10 @@ CmpSystem::CmpSystem(const SystemConfig &cfg) : cfg_(cfg)
     // After the sockets: the backend may cache per-socket pointers.
     backend_ = makeProtocolBackend(*this);
 
-    // Eviction provenance: one attribution slot (and one process-wide
-    // Prometheus series) per possible inducing core. Registration is
-    // idempotent, so concurrently constructed systems share the series.
-    const std::uint32_t cores = totalCores();
-    proto_.devByInducer.assign(cores, 0);
-    proto_.inclusionByInducer.assign(cores, 0);
-    devInducerMetrics_.resize(cores, nullptr);
-    inclInducerMetrics_.resize(cores, nullptr);
-    obs::MetricsRegistry &reg = obs::MetricsRegistry::global();
-    for (std::uint32_t c = 0; c < cores; ++c) {
-        const std::string label =
-            "inducing_core=\"" + std::to_string(c) + "\"";
-        devInducerMetrics_[c] = reg.counter(
-            "zerodev_dev_invalidations_total",
-            "Directory-eviction-victim invalidations attributed to the "
-            "inducing core",
-            label);
-        inclInducerMetrics_[c] = reg.counter(
-            "zerodev_inclusion_invalidations_total",
-            "Inclusion back-invalidations attributed to the inducing core",
-            label);
-    }
+    // Eviction provenance: one attribution slot per possible inducing
+    // core.
+    proto_.devByInducer.assign(totalCores(), 0);
+    proto_.inclusionByInducer.assign(totalCores(), 0);
 }
 
 void
@@ -77,7 +59,6 @@ CmpSystem::noteDevInvalidation()
 {
     ++proto_.devInvalidations;
     ++proto_.devByInducer[txnCore_];
-    ZDEV_METRIC_ADD(devInducerMetrics_[txnCore_], 1);
 }
 
 void
@@ -85,7 +66,6 @@ CmpSystem::noteInclusionInvalidation()
 {
     ++proto_.inclusionInvalidations;
     ++proto_.inclusionByInducer[txnCore_];
-    ZDEV_METRIC_ADD(inclInducerMetrics_[txnCore_], 1);
 }
 
 std::unique_ptr<DirOrgBase>

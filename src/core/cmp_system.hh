@@ -37,7 +37,6 @@
 #include "interconnect/message.hh"
 #include "mem/dram.hh"
 #include "mem/memory_store.hh"
-#include "obs/metrics.hh"
 
 namespace zerodev
 {
@@ -524,7 +523,7 @@ class CmpSystem
     Cycle finishAccess(const obs::LatencyChain &ch);
 
     /** Attribute one DEV / inclusion invalidation to the inducing core
-     *  of the in-flight transaction (provenance + live metrics). */
+     *  of the in-flight transaction (provenance). */
     void noteDevInvalidation();
     void noteInclusionInvalidation();
 
@@ -533,10 +532,6 @@ class CmpSystem
     /** Constructed after the sockets (it may cache per-socket pointers). */
     std::unique_ptr<ProtocolBackend> backend_;
     ProtocolStats proto_;
-    /** Per-inducing-core Prometheus series (process-wide registry;
-     *  registration is idempotent, so every system shares them). */
-    std::vector<obs::Counter *> devInducerMetrics_;
-    std::vector<obs::Counter *> inclInducerMetrics_;
     Histogram sharingDegree_{kMaxCores};
     Histogram devSize_{kMaxCores};
     obs::Tracer *trc_ = nullptr;

@@ -9,15 +9,6 @@
 namespace zerodev::obs
 {
 
-std::size_t
-metricShardIndex()
-{
-    static std::atomic<std::size_t> next{0};
-    thread_local const std::size_t idx =
-        next.fetch_add(1, std::memory_order_relaxed) % kMetricShards;
-    return idx;
-}
-
 namespace
 {
 
@@ -123,11 +114,8 @@ HistogramMetric::HistogramMetric(std::string name, std::string labels,
                                  const std::atomic<bool> *enabled)
     : Metric(Kind::Histogram, std::move(name), std::move(labels),
              std::move(help), enabled),
-      bounds_(std::move(bounds)), shards_(kMetricShards)
+      bounds_(std::move(bounds)), buckets_(bounds_.size() + 1)
 {
-    for (Shard &s : shards_)
-        s.buckets = std::vector<std::atomic<std::uint64_t>>(
-            bounds_.size() + 1);
 }
 
 void
@@ -138,9 +126,8 @@ HistogramMetric::observe(double v)
     std::size_t b = 0;
     while (b < bounds_.size() && v > bounds_[b])
         ++b;
-    Shard &s = shards_[metricShardIndex()];
-    s.buckets[b].fetch_add(1, std::memory_order_relaxed);
-    atomicAddDouble(s.sumBits, v);
+    buckets_[b].fetch_add(1, std::memory_order_relaxed);
+    atomicAddDouble(sumBits_, v);
 }
 
 HistogramMetric::Snapshot
@@ -148,16 +135,11 @@ HistogramMetric::snapshot() const
 {
     Snapshot snap;
     snap.bounds = bounds_;
-    snap.counts.assign(bounds_.size() + 1, 0);
-    for (const Shard &s : shards_) {
-        for (std::size_t b = 0; b < snap.counts.size(); ++b)
-            snap.counts[b] +=
-                s.buckets[b].load(std::memory_order_relaxed);
-        snap.sum += doubleFromBits(
-            s.sumBits.load(std::memory_order_relaxed));
+    for (const std::atomic<std::uint64_t> &b : buckets_) {
+        snap.counts.push_back(b.load(std::memory_order_relaxed));
+        snap.count += snap.counts.back();
     }
-    for (const std::uint64_t c : snap.counts)
-        snap.count += c;
+    snap.sum = doubleFromBits(sumBits_.load(std::memory_order_relaxed));
     return snap;
 }
 
@@ -294,13 +276,6 @@ MetricsRegistry::prometheusText() const
         }
     }
     return out.str();
-}
-
-void
-MetricsRegistry::resetForTesting()
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    series_.clear();
 }
 
 namespace

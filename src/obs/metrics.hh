@@ -1,13 +1,12 @@
 /**
  * @file
- * Live-telemetry metrics registry: counters, gauges and histograms with
- * per-thread sharded slots.
+ * Live-telemetry metrics registry: counters, gauges and histograms.
  *
- * The hot path (a worker thread bumping a counter) is lock-free: each
- * thread owns one of kMetricShards cache-line-padded atomic slots per
- * series and increments it with a relaxed fetch_add; aggregation across
- * shards happens only at scrape time, so a publisher thread rendering
- * the Prometheus exposition never blocks the simulation workers.
+ * Only the telemetry layer writes here: worker heartbeats (once every
+ * heartbeatEvery accesses) and the sink's job lifecycle, never the
+ * simulator's per-access path. At that rate one relaxed atomic per
+ * series is enough; a publisher thread rendering the Prometheus
+ * exposition reads it without locking out the workers.
  *
  * Registration (MetricsRegistry::counter / gauge / histogram) is
  * mutex-protected and idempotent: asking for an existing (name, labels)
@@ -15,9 +14,8 @@
  * series without coordination. Handles stay valid for the registry's
  * lifetime (series storage never moves).
  *
- * The registry is runtime-switchable (setEnabled); like the coherence
- * trace hooks, the ZDEV_METRIC_* macros cost a null test at an
- * instrumentation point without a registered series.
+ * The registry is runtime-switchable (setEnabled): while disabled,
+ * every mutation is dropped.
  */
 
 #ifndef ZERODEV_OBS_METRICS_HH
@@ -32,18 +30,6 @@
 
 namespace zerodev::obs
 {
-
-/** Shard count per series; threads hash onto shards round-robin. */
-constexpr std::size_t kMetricShards = 16;
-
-/** This thread's shard slot, assigned round-robin on first use. */
-std::size_t metricShardIndex();
-
-/** One cache-line-padded atomic cell. */
-struct alignas(64) MetricShard
-{
-    std::atomic<std::uint64_t> value{0};
-};
 
 class MetricsRegistry;
 
@@ -87,29 +73,23 @@ class Metric
     const std::atomic<bool> *enabled_;
 };
 
-/** Monotonic counter; add() is lock-free on a per-thread shard. */
+/** Monotonic counter; add() is one relaxed fetch_add. */
 class Counter : public Metric
 {
   public:
     void
     add(std::uint64_t delta)
     {
-        if (live()) {
-            shards_[metricShardIndex()].value.fetch_add(
-                delta, std::memory_order_relaxed);
-        }
+        if (live())
+            value_.fetch_add(delta, std::memory_order_relaxed);
     }
 
     void inc() { add(1); }
 
-    /** Aggregate over all shards (scrape path). */
     std::uint64_t
     value() const
     {
-        std::uint64_t sum = 0;
-        for (const MetricShard &s : shards_)
-            sum += s.value.load(std::memory_order_relaxed);
-        return sum;
+        return value_.load(std::memory_order_relaxed);
     }
 
   private:
@@ -121,7 +101,7 @@ class Counter : public Metric
     {
     }
 
-    MetricShard shards_[kMetricShards];
+    std::atomic<std::uint64_t> value_{0};
 };
 
 /** Last-write-wins instantaneous value (stored as IEEE-754 bits). */
@@ -161,8 +141,7 @@ class Gauge : public Metric
 };
 
 /** Fixed-bound histogram (Prometheus classic buckets). observe() is
- *  lock-free: one shard-local bucket increment plus a CAS-add into the
- *  shard-local sum. */
+ *  lock-free: one bucket increment plus a CAS-add into the sum. */
 class HistogramMetric : public Metric
 {
   public:
@@ -184,17 +163,12 @@ class HistogramMetric : public Metric
   private:
     friend class MetricsRegistry;
     HistogramMetric(std::string name, std::string labels, std::string help,
-              std::vector<double> bounds,
-              const std::atomic<bool> *enabled);
-
-    struct alignas(64) Shard
-    {
-        std::vector<std::atomic<std::uint64_t>> buckets; //!< bounds+1
-        std::atomic<std::uint64_t> sumBits{0};           //!< double bits
-    };
+                    std::vector<double> bounds,
+                    const std::atomic<bool> *enabled);
 
     std::vector<double> bounds_;
-    std::vector<Shard> shards_;
+    std::vector<std::atomic<std::uint64_t>> buckets_; //!< bounds+1
+    std::atomic<std::uint64_t> sumBits_{0};           //!< double bits
 };
 
 /**
@@ -249,9 +223,6 @@ class MetricsRegistry
      */
     std::string prometheusText() const;
 
-    /** Drop every series (tests only; outstanding handles dangle). */
-    void resetForTesting();
-
   private:
     Metric *find(const std::string &name, const std::string &labels) const;
 
@@ -268,19 +239,6 @@ class MetricsRegistry
  */
 bool checkPrometheusText(const std::string &text,
                          std::string *err = nullptr);
-
-// Hot-path instrumentation macros. @p m is a Counter*/Gauge* that may
-// be null (instrumentation point without a registered series).
-#define ZDEV_METRIC_ADD(m, delta)                                       \
-    do {                                                                \
-        if (m)                                                          \
-            (m)->add(delta);                                            \
-    } while (0)
-#define ZDEV_METRIC_SET(m, v)                                           \
-    do {                                                                \
-        if (m)                                                          \
-            (m)->set(v);                                                \
-    } while (0)
 
 } // namespace zerodev::obs
 

@@ -91,6 +91,8 @@ completionOf(const RunResult &res)
                 toString(static_cast<LatComp>(i)), cycles);
         }
     }
+    c.devByInducer = res.devByInducer;
+    c.inclusionByInducer = res.inclusionByInducer;
     return c;
 }
 
@@ -116,7 +118,7 @@ TelemetryJob::complete(const JobCompletion &c)
     // Fold the tail of the run (accesses since the last heartbeat) into
     // the shared counter so zerodev_accesses_total ends exact.
     if (c.accesses > counted_) {
-        ZDEV_METRIC_ADD(accessesTotal_, c.accesses - counted_);
+        accessesTotal_->add(c.accesses - counted_);
         counted_ = c.accesses;
     }
     done_.store(c.accesses, std::memory_order_relaxed);
@@ -225,11 +227,10 @@ TelemetrySink::onJobComplete(TelemetryJob &job, const JobCompletion &c)
     else
         jobsCompleted_->inc();
     wallSeconds_->observe(c.wallSeconds);
-    ZDEV_METRIC_SET(job.progressGauge_,
-                    job.total_ ? static_cast<double>(c.accesses) /
-                                     static_cast<double>(job.total_)
-                               : 1.0);
-    ZDEV_METRIC_SET(job.rateGauge_, c.maccessesPerSecond);
+    job.progressGauge_->set(job.total_ ? static_cast<double>(c.accesses) /
+                                             static_cast<double>(job.total_)
+                                       : 1.0);
+    job.rateGauge_->set(c.maccessesPerSecond);
     std::string fields =
         "\"accesses\":" + std::to_string(c.accesses) +
         ",\"cycles\":" + std::to_string(c.cycles) +
@@ -384,6 +385,16 @@ TelemetrySink::statusJson() const
                 for (const auto &[comp, cycles] : c.latencyCycles)
                     w.field(comp, cycles);
                 w.endObject();
+            }
+            if (!c.devByInducer.empty()) {
+                w.key("dev_by_inducing_core").beginArray();
+                for (const std::uint64_t v : c.devByInducer)
+                    w.value(v);
+                w.endArray();
+                w.key("inclusion_by_inducing_core").beginArray();
+                for (const std::uint64_t v : c.inclusionByInducer)
+                    w.value(v);
+                w.endArray();
             }
             if (c.failed)
                 w.field("error", c.error);

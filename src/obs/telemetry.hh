@@ -9,7 +9,8 @@
  *  - Workers (the simulation loops in sim/runner.cc, the Differ, the
  *    sweep engine) own a TelemetryJob each and call progress() every
  *    heartbeatEvery() accesses — two relaxed atomic stores plus one
- *    sharded counter add, no locks, nothing if telemetry is off.
+ *    relaxed counter add, no locks. A run without a TelemetryJob makes
+ *    no call at all.
  *
  *  - The TelemetrySink's publisher thread wakes every flush period,
  *    rewrites <dir>/status.json (atomically: temp file + rename) and
@@ -95,6 +96,11 @@ struct JobCompletion
      *  non-zero ones; empty when no profiler was attached. */
     std::vector<std::pair<std::string, std::uint64_t>> latencyCycles;
 
+    /** DEV / inclusion invalidations per inducing global core (the run
+     *  report's `leakage` arrays); empty for a job without them. */
+    std::vector<std::uint64_t> devByInducer;
+    std::vector<std::uint64_t> inclusionByInducer;
+
     bool failed = false;
     std::string error;
 };
@@ -134,7 +140,7 @@ class TelemetryJob
     {
         done_.store(done, std::memory_order_relaxed);
         cycle_.store(cycle, std::memory_order_relaxed);
-        ZDEV_METRIC_ADD(accessesTotal_, done - counted_);
+        accessesTotal_->add(done - counted_);
         counted_ = done;
     }
 

@@ -21,7 +21,9 @@
 #include <sys/wait.h>
 
 #include "attack/scenario.hh"
+#include "core/cmp_system.hh"
 #include "obs/leakage.hh"
+#include "obs/metrics.hh"
 #include "verify/differ.hh"
 
 using namespace zerodev;
@@ -160,6 +162,26 @@ TEST(Sidechannel, ProvenanceIsConservedAcrossTrials)
     EXPECT_EQ(sum(r.devByInducer), r.devInvalidations);
     EXPECT_EQ(sum(r.inclusionByInducer), r.inclusionInvalidations);
     EXPECT_GT(r.devInvalidations, 0u);
+}
+
+TEST(Sidechannel, ProvenanceStaysOutOfTheMetricsRegistry)
+{
+    // Per-inducer counts live in each system's ProtocolStats. Systems
+    // that share a process (the fuzz farm's variants) register no
+    // process-wide series, so none can sum into another's counts.
+    const obs::MetricsRegistry &reg = obs::MetricsRegistry::global();
+    const std::size_t before = reg.size();
+    SystemConfig eightCores;
+    ASSERT_EQ(eightCores.coresPerSocket * eightCores.sockets, 8u);
+    CmpSystem big(eightCores);
+    CmpSystem twoSocket(variantConfig("zdev-fpss-2s"));
+    EXPECT_EQ(twoSocket.config().sockets, 2u);
+    const attack::ScenarioResult r = runKind(
+        variantConfig("sparse-8th"), attack::ScenarioKind::DirOccupancy);
+    EXPECT_GT(r.devInvalidations, 0u);
+    EXPECT_EQ(reg.size(), before);
+    EXPECT_EQ(reg.prometheusText().find("inducing_core"),
+              std::string::npos);
 }
 
 TEST(Sidechannel, ScenarioIsDeterministic)

@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the live-telemetry subsystem: the sharded metrics registry
- * and its Prometheus exposition (plus the exposition checker itself),
+ * Tests for the live-telemetry subsystem: the metrics registry and its
+ * Prometheus exposition (plus the exposition checker itself),
  * the TelemetrySink lifecycle (events, status.json, per-job gauges),
  * heartbeat monotonicity during a real run, the stall watchdog with its
  * snapshot-on-stall, the single-source-of-truth contract between live
@@ -370,6 +370,25 @@ TEST(Telemetry, StatusMatchesRunReportExactly)
                      static_cast<double>(res.accesses));
     EXPECT_DOUBLE_EQ(j.num("cycles"), static_cast<double>(res.cycles));
     EXPECT_DOUBLE_EQ(j.num("wall_seconds"), res.wallSeconds);
+
+    // Eviction provenance: the tiny config's 1x sparse directory
+    // evicts under canneal, so the arrays carry real DEVs.
+    ASSERT_GT(res.devInvalidations, 0u);
+    const obs::JsonValue *leakage = report->find("leakage");
+    ASSERT_TRUE(leakage);
+    for (const auto &[statusKey, reportKey] :
+         {std::pair{"dev_by_inducing_core", "devByInducingCore"},
+          std::pair{"inclusion_by_inducing_core",
+                    "inclusionByInducingCore"}}) {
+        const obs::JsonValue *live = j.find(statusKey);
+        const obs::JsonValue *want = leakage->find(reportKey);
+        ASSERT_TRUE(live && live->isArray()) << statusKey;
+        ASSERT_TRUE(want && want->isArray()) << reportKey;
+        ASSERT_EQ(live->array.size(), want->array.size()) << statusKey;
+        for (std::size_t c = 0; c < want->array.size(); ++c)
+            EXPECT_EQ(live->array[c].number, want->array[c].number)
+                << statusKey << "[" << c << "]";
+    }
 }
 
 TEST(Telemetry, WatchdogDetectsPlantedStallAndSnapshots)
